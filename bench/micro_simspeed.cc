@@ -2,21 +2,19 @@
  * @file
  * Host simulation speed: MIPS (millions of simulated instructions per
  * host second) per workload category, for a no-prefetch and an
- * Entangling-4K configuration, with event-driven cycle skipping on and
- * off. Not a paper figure — this is the measurement harness behind the
- * simulator-performance work (DESIGN.md §3.8): run it before and after
- * a core change and compare the BENCH_simspeed.json artifacts.
+ * Entangling-4K configuration. Not a paper figure — this is the
+ * measurement harness behind the simulator-performance work (DESIGN.md
+ * §3.8): run it before and after a core change and compare the
+ * BENCH_simspeed.json artifacts.
  *
  * Programs are pre-built through the shared cache before any timer
  * starts, so the numbers are pure simulation speed (trace synthesis
  * excluded — the same exclusion the run-manifest host_mips field makes).
- * Results (IPC etc.) are identical across all four rows by construction;
- * only host speed differs. Wall-clock noise on a busy host easily
- * reaches tens of percent: prefer interleaved repeat runs when comparing
- * two builds.
+ * Wall-clock noise on a busy host easily reaches tens of percent: prefer
+ * interleaved repeat runs when comparing two builds.
  *
  * A second table measures SMARTS-style sampled mode (DESIGN.md §3.13)
- * against the event-skip baseline at a long-run budget where sampling
+ * against full detailed simulation at a long-run budget where sampling
  * pays off (50M instructions at scale 1; EIP_SIM_SCALE shrinks it), on
  * the synthetic categories plus the checked-in ChampSim fixture, whose
  * replayer fast-forwards in O(1) once its one-pass cache is primed.
@@ -133,7 +131,7 @@ sampledSpeedTables(const std::vector<trace::Workload> &workloads)
         speedup[0].push_back(
             cells[0][i] > 0.0 ? cells[1][i] / cells[0][i] : 0.0);
     harness::printMatrix(
-        "Sampled-mode speedup (x over the event-skip baseline)",
+        "Sampled-mode speedup (x over full detailed simulation)",
         {"entangling-4k-sampled"}, columns, speedup);
 }
 
@@ -150,18 +148,7 @@ main()
     std::vector<trace::Workload> workloads = bench::suite(1);
     workloads.push_back(trace::cloudSuite().front());
 
-    struct Row
-    {
-        const char *name;
-        const char *configId;
-        bool eventSkip;
-    };
-    const Row rows[] = {
-        {"none", "none", true},
-        {"none-noskip", "none", false},
-        {"entangling-4k", "entangling-4k", true},
-        {"entangling-4k-noskip", "entangling-4k", false},
-    };
+    const char *const configs[] = {"none", "entangling-4k"};
 
     // Pre-build every program outside the timed region.
     exec::ProgramCache &cache = exec::ProgramCache::global();
@@ -176,13 +163,12 @@ main()
     columns.emplace_back("all");
 
     std::vector<std::vector<double>> mips_cells;
-    for (const Row &row : rows) {
-        harness::RunSpec spec = bench::spec(row.configId);
-        spec.eventSkip = row.eventSkip;
+    for (const char *config : configs) {
+        harness::RunSpec spec = bench::spec(config);
         double insts =
             static_cast<double>(spec.warmup + spec.instructions);
 
-        config_names.emplace_back(row.name);
+        config_names.emplace_back(config);
         mips_cells.emplace_back();
         double total_seconds = 0.0;
         for (size_t i = 0; i < workloads.size(); ++i) {
@@ -213,10 +199,10 @@ main()
     sampledSpeedTables(sampled_workloads);
 
     std::printf(
-        "\nReading: skip rows vs their -noskip twins isolate the\n"
-        "event-driven scheduler's contribution; sampled rows show the\n"
-        "SMARTS schedule's win over the event-skip baseline at matched\n"
-        "coverage; compare whole artifacts across builds for core-change\n"
-        "speedups (EXPERIMENTS.md records the committed baseline).\n");
+        "\nReading: the first table is full detailed simulation speed per\n"
+        "category; sampled rows show the SMARTS schedule's win over it\n"
+        "at matched coverage; compare whole artifacts across builds for\n"
+        "core-change speedups (EXPERIMENTS.md records the committed\n"
+        "baseline).\n");
     return 0;
 }

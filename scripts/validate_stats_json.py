@@ -439,8 +439,7 @@ class Checker:
             if isinstance(run.get("instructions"), int) \
                     and run["instructions"] <= 0:
                 self.error(rw, "instructions must be positive")
-            for key in ("physical_l1i", "event_skip"):
-                self.require(run, rw, key, (bool,))
+            self.require(run, rw, "physical_l1i", (bool,))
 
     def check_serve_response(self, doc, where):
         op = self.require(doc, where, "op", (str,))

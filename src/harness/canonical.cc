@@ -67,7 +67,6 @@ canonicalSimConfig(const sim::SimConfig &c)
     json.kv("wrong_path_lines_per_cycle", c.wrongPathLinesPerCycle);
     json.kv("physical_l1i", c.physicalL1I);
     json.kv("vmem_seed", c.vmemSeed);
-    json.kv("event_skip", c.eventSkip);
     json.endObject();
     return json.str();
 }
@@ -82,7 +81,6 @@ canonicalRunSpec(const RunSpec &spec)
     json.kv("warmup", spec.warmup);
     json.kv("physical_l1i", spec.physicalL1i);
     json.kv("data_prefetcher", spec.dataPrefetcher);
-    json.kv("event_skip", spec.eventSkip);
     json.kv("wrong_path", spec.wrongPath);
     json.kv("sample_interval", spec.sampleInterval);
     json.kv("collect_counters", spec.collectCounters);

@@ -8,9 +8,8 @@
  * keys ⇒ byte-identical artifacts (the determinism contract of
  * exec::runBatch, extended across processes).
  *
- * Deliberately conservative: knobs that are proven result-inert
- * (event_skip — see the eipdiff skip axis) still enter the key, so a
- * key can never alias two requests the artifact schema could ever
+ * Deliberately conservative: a knob enters the key even where it
+ * could be proven result-inert, so a key can never alias two requests the artifact schema could ever
  * distinguish. Collapsing inert knobs would be a pure hit-rate
  * optimization and needs an allow-list argument, not a serializer
  * change.

@@ -61,9 +61,6 @@ cliUsage()
         "                        (default: EIP_JOBS env or all cores;\n"
         "                        1 = serial)\n"
         "  --physical            train the L1I with physical addresses\n"
-        "  --no-skip             tick every cycle instead of event-driven\n"
-        "                        cycle skipping (identical results;\n"
-        "                        for A/B host-speed timing)\n"
         "  --wrong-path          model wrong-path execution\n"
         "  --check               run the cycle-level invariant auditor\n"
         "                        (src/check; also EIP_CHECK=1); fatal on\n"
@@ -242,8 +239,6 @@ parseCli(const std::vector<std::string> &args)
                 opt.why = true;
         } else if (arg == "--physical") {
             opt.physical = true;
-        } else if (arg == "--no-skip") {
-            opt.noSkip = true;
         } else if (arg == "--wrong-path") {
             opt.wrongPath = true;
         } else if (arg == "--check") {
@@ -365,7 +360,6 @@ runCli(const CliOptions &opt)
         spec.instructions = opt.instructions;
         spec.warmup = opt.warmup;
         spec.physicalL1i = opt.physical;
-        spec.eventSkip = !opt.noSkip;
         spec.why = opt.why;
         spec.whyTop = opt.whyTop;
         spec.sampleMode = opt.sampleMode;
@@ -470,7 +464,6 @@ runCli(const CliOptions &opt)
         spec.instructions = opt.instructions;
         spec.warmup = opt.warmup;
         spec.physicalL1i = opt.physical;
-        spec.eventSkip = !opt.noSkip;
         spec.wrongPath = opt.wrongPath;
         spec.why = opt.why;
         spec.whyTop = opt.whyTop;

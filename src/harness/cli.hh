@@ -51,9 +51,6 @@ struct CliOptions
     unsigned jobs = 0;
     bool physical = false;
     bool wrongPath = false;
-    /** Disable event-driven cycle skipping (SimConfig::eventSkip) for
-     *  A/B host-speed timing. Simulation results are identical. */
-    bool noSkip = false;
     /** Enable the cycle-level invariant auditor (src/check) for every
      *  Cpu this invocation constructs; equivalent to EIP_CHECK=1. A
      *  violated invariant is fatal with a dumped context. */

@@ -166,7 +166,6 @@ runImpl(const trace::Workload &workload, const RunSpec &spec,
 {
     sim::SimConfig cfg;
     cfg.physicalL1I = spec.physicalL1i;
-    cfg.eventSkip = spec.eventSkip;
     cfg.modelWrongPath = spec.wrongPath;
 
     std::string pf_id = spec.configId;

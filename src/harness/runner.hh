@@ -53,9 +53,6 @@ struct RunSpec
     bool physicalL1i = false;
     /** Optional L1D prefetcher id ("none" or "stride"). */
     std::string dataPrefetcher = "none";
-    /** Event-driven cycle skipping (SimConfig::eventSkip). Results are
-     *  bit-identical either way; off only for A/B host-speed timing. */
-    bool eventSkip = true;
     /** Model wrong-path fetch after mispredictions
      *  (SimConfig::modelWrongPath). Result-affecting, so part of the
      *  canonical spec. */

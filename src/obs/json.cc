@@ -192,9 +192,13 @@ namespace {
 class Parser
 {
   public:
-    Parser(const std::string &text, std::string *error)
-        : text(text), err(error)
-    {}
+    Parser(const std::string &text, std::string *error,
+           JsonParseError *kind)
+        : text(text), err(error), kind(kind)
+    {
+        if (kind != nullptr)
+            *kind = JsonParseError::None;
+    }
 
     std::optional<JsonValue>
     document()
@@ -210,10 +214,13 @@ class Parser
 
   private:
     std::optional<JsonValue>
-    fail(const std::string &what)
+    fail(const std::string &what,
+         JsonParseError why = JsonParseError::Malformed)
     {
         if (err != nullptr)
             *err = what + " at offset " + std::to_string(pos);
+        if (kind != nullptr)
+            *kind = why;
         return std::nullopt;
     }
 
@@ -304,8 +311,23 @@ class Parser
         return std::nullopt; // unterminated
     }
 
+    /** Every nested value enters here, so the depth bound counts each
+     *  level once. */
     std::optional<JsonValue>
     parseValue()
+    {
+        if (depth == kMaxJsonDepth)
+            return fail("nesting deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels",
+                        JsonParseError::TooDeep);
+        ++depth;
+        std::optional<JsonValue> v = parseAny();
+        --depth;
+        return v;
+    }
+
+    std::optional<JsonValue>
+    parseAny()
     {
         skipWs();
         if (pos >= text.size())
@@ -396,15 +418,17 @@ class Parser
 
     const std::string &text;
     std::string *err;
+    JsonParseError *kind;
     size_t pos = 0;
+    size_t depth = 0;
 };
 
 } // namespace
 
 std::optional<JsonValue>
-parseJson(const std::string &text, std::string *error)
+parseJson(const std::string &text, std::string *error, JsonParseError *kind)
 {
-    return Parser(text, error).document();
+    return Parser(text, error, kind).document();
 }
 
 } // namespace eip::obs

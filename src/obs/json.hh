@@ -95,12 +95,26 @@ struct JsonValue
     uint64_t asU64() const { return static_cast<uint64_t>(number); }
 };
 
+/** Why parseJson refused a document. */
+enum class JsonParseError
+{
+    None,
+    Malformed,
+    TooDeep, ///< nested deeper than kMaxJsonDepth
+};
+
+/** Deepest value nesting parseJson accepts: it recurses per level, so a
+ *  hostile line of '[' must not reach the stack limit. */
+inline constexpr size_t kMaxJsonDepth = 512;
+
 /**
- * Parse @p text as one JSON document. Returns nullopt on malformed
- * input (the error description lands in @p error when given).
+ * Parse @p text as one JSON document. Returns nullopt on malformed or
+ * too deeply nested input; the error description lands in @p error and
+ * its kind in @p kind when given.
  */
 std::optional<JsonValue> parseJson(const std::string &text,
-                                   std::string *error = nullptr);
+                                   std::string *error = nullptr,
+                                   JsonParseError *kind = nullptr);
 
 } // namespace eip::obs
 

@@ -196,19 +196,19 @@ EventTracer::pfEvictedUnused(uint64_t line, uint64_t cycle)
 }
 
 void
-EventTracer::stallCycle(StallReason reason, uint64_t cycle)
+EventTracer::stallCycle(StallReason reason, uint64_t first, uint64_t count)
 {
-    ++stalls[static_cast<size_t>(reason)];
-    ++idle;
-    if (stallOpen && stallReason == reason && cycle == stallEnd) {
-        stallEnd = cycle + 1;
+    stalls[static_cast<size_t>(reason)] += count;
+    idle += count;
+    if (stallOpen && stallReason == reason && first == stallEnd) {
+        stallEnd = first + count;
         return;
     }
     closeStallSpan();
     stallOpen = true;
     stallReason = reason;
-    stallStart = cycle;
-    stallEnd = cycle + 1;
+    stallStart = first;
+    stallEnd = first + count;
 }
 
 void

@@ -184,9 +184,11 @@ class EventTracer
     void pfEvictedUnused(uint64_t line, uint64_t cycle);
 
     // -- front-end cycle accounting (family "stall") -------------------
-    /** Charge one zero-fetch cycle to @p reason. Consecutive cycles
-     *  with the same reason coalesce into one "X" span event. */
-    void stallCycle(StallReason reason, uint64_t cycle);
+    /** Charge @p count zero-fetch cycles starting at @p first to
+     *  @p reason. Consecutive cycles with the same reason coalesce into
+     *  one "X" span event, however they were charged: a skipped window
+     *  charged in one call traces exactly like its cycles one by one. */
+    void stallCycle(StallReason reason, uint64_t first, uint64_t count = 1);
     /** Fetch delivered instructions this cycle: close any open span. */
     void fetchActive();
 

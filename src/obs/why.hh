@@ -23,8 +23,8 @@
  * event tracer: every hook site is one pointer test when off, the
  * layer is a pure observer (it never feeds back into timing), and all
  * hooks fire on events (access/fill/enqueue/evict), never per cycle,
- * so event-driven cycle skipping stays armed and blame counters are
- * identical across --jobs 1/N and skip/no-skip.
+ * so skipped cycles owe it nothing and blame counters are identical
+ * across --jobs 1/N and to the per-cycle reference schedule.
  */
 
 #ifndef EIP_OBS_WHY_HH

@@ -15,7 +15,7 @@
 
 #include "sim/cache.hh"
 #include "sim/prefetcher_api.hh"
-#include "util/circular_buffer.hh"
+#include "util/ring.hh"
 #include "util/histogram.hh"
 
 namespace eip::prefetch {
@@ -99,8 +99,11 @@ class LookaheadOracle : public sim::Prefetcher
     {
         (void)pc;
         (void)type;
-        if (target != 0)
-            discontinuities.push(lastCycle);
+        if (target == 0)
+            return;
+        if (discontinuities.full())
+            discontinuities.pop_front(); // keep the newest 512
+        discontinuities.push_back(lastCycle);
     }
 
     void
@@ -132,8 +135,8 @@ class LookaheadOracle : public sim::Prefetcher
         // Count discontinuities in the window [start - latency, start]: a
         // prefetch must be issued before that window to arrive by `start`.
         size_t needed = 1;
-        for (size_t i = 0; i < discontinuities.size(); ++i) {
-            sim::Cycle at = discontinuities.fromNewest(i);
+        for (size_t i = discontinuities.size(); i-- > 0;) {
+            sim::Cycle at = discontinuities[i]; // newest first
             if (at > start)
                 continue; // discontinuity after the miss
             if (start - at >= latency)
@@ -162,7 +165,7 @@ class LookaheadOracle : public sim::Prefetcher
     static constexpr size_t kMaxDistance = 64;
 
     Histogram requiredDistance;
-    CircularBuffer<sim::Cycle> discontinuities;
+    util::Ring<sim::Cycle> discontinuities;
     sim::Cycle lastCycle = 0;
     std::unordered_map<sim::Addr, sim::Cycle> missStart;
 };

@@ -247,14 +247,18 @@ Daemon::serveConnection(int fd)
         if (is_shutdown)
             break;
     }
-    ::close(fd);
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (size_t i = 0; i < connFds_.size(); ++i) {
-        if (connFds_[i] == fd) {
-            connFds_.erase(connFds_.begin() + i);
-            break;
+    // Forget the fd before closing it: once closed its number can be
+    // reused by another open, and stop() must never shutdown() that.
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        for (size_t i = 0; i < connFds_.size(); ++i) {
+            if (connFds_[i] == fd) {
+                connFds_.erase(connFds_.begin() + i);
+                break;
+            }
         }
     }
+    ::close(fd);
 }
 
 void

@@ -108,7 +108,6 @@ requestJson(const Request &request)
         json.kv("instructions", request.run.instructions);
         json.kv("warmup", request.run.warmup);
         json.kv("physical_l1i", request.run.physical);
-        json.kv("event_skip", request.run.eventSkip);
         json.kv("sample_interval", request.run.sampleInterval);
         // Like inject_crash: emitted only when used, so full-run request
         // lines keep their historic bytes.
@@ -199,7 +198,6 @@ parseRequest(const std::string &line, Request &out, std::string &error)
               !readU64(*run, "instructions", r.instructions, error) ||
               !readU64(*run, "warmup", r.warmup, error) ||
               !readBool(*run, "physical_l1i", r.physical, error) ||
-              !readBool(*run, "event_skip", r.eventSkip, error) ||
               !readU64(*run, "sample_interval", r.sampleInterval, error) ||
               !readString(*run, "sample_mode", r.sampleMode, error) ||
               !readU64(*run, "sample_window", r.sampleWindow, error) ||
@@ -260,7 +258,6 @@ toRunSpec(const RunRequest &run)
     spec.warmup = run.warmup;
     spec.physicalL1i = run.physical;
     spec.dataPrefetcher = run.dataPrefetcher;
-    spec.eventSkip = run.eventSkip;
     spec.sampleInterval = run.sampleInterval;
     spec.sampleMode = run.sampleMode;
     spec.sampleWindow = run.sampleWindow;

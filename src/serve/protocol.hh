@@ -32,7 +32,6 @@ struct RunRequest
     uint64_t instructions = 600000;
     uint64_t warmup = 300000;
     bool physical = false;
-    bool eventSkip = true;
     uint64_t sampleInterval = 0;
     /** Sampled simulation: "full" (default) or "periodic" (SMARTS-style
      *  functional warming + detailed windows; window/period/seed as in

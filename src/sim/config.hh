@@ -98,15 +98,6 @@ struct SimConfig
     bool physicalL1I = false;
     uint64_t vmemSeed = 0xF00D;
 
-    /**
-     * Event-driven cycle skipping (DESIGN.md §3.8): when the pipeline is
-     * provably inert, jump the clock to the next event instead of ticking
-     * empty cycles. Bit-identical results (pinned by the eipdiff skip
-     * axis); auto-disabled per run() under a tracer or invariant checks.
-     * The --no-skip CLI flag clears it for A/B timing.
-     */
-    bool eventSkip = true;
-
     /** Larger-L1I comparison points of Fig. 6 (keep 4-cycle latency). */
     void
     enlargeL1i(uint32_t size_kb)

@@ -437,26 +437,34 @@ Cpu::fetchStage()
     // is the proximate cause even if the predictor is also stalled);
     // FTQ emptiness splits by whether the front end is waiting on a
     // mispredicted branch (redirect recovery) or simply under-supplied.
-    ++fetchIdleCycles;
     obs::StallReason reason;
-    if (lineBlocked) {
-        ++fetchStallLineMiss;
+    if (lineBlocked)
         reason = obs::StallReason::LineMiss;
-    } else if (robBlocked) {
-        ++fetchStallRobFull;
+    else if (robBlocked)
         reason = obs::StallReason::BackendFull;
-    } else if (predictBlockedOnBranch || now < predictStallUntil) {
-        ++fetchStallFtqEmptyMispredict;
+    else if (predictBlockedOnBranch || now < predictStallUntil)
         reason = obs::StallReason::FtqEmptyMispredict;
-    } else {
-        ++fetchStallFtqEmptyStarved;
+    else
         reason = obs::StallReason::FtqEmptyStarved;
-    }
-    if (tracer_ != nullptr)
-        tracer_->stallCycle(reason, now);
+    chargeStall(reason, now, 1);
+}
+
+void
+Cpu::chargeStall(obs::StallReason reason, Cycle first, uint64_t cycles)
+{
     // The partition identity (bucket sum == fetchIdleCycles) is audited
     // by the registered cpu.fetch_stall_partition invariant (src/check),
     // which also covers Release builds when --check is on.
+    uint64_t &bucket =
+        reason == obs::StallReason::LineMiss      ? fetchStallLineMiss
+        : reason == obs::StallReason::BackendFull ? fetchStallRobFull
+        : reason == obs::StallReason::FtqEmptyMispredict
+            ? fetchStallFtqEmptyMispredict
+            : fetchStallFtqEmptyStarved;
+    bucket += cycles;
+    fetchIdleCycles += cycles;
+    if (tracer_ != nullptr)
+        tracer_->stallCycle(reason, first, cycles);
 }
 
 void
@@ -549,22 +557,119 @@ Cpu::skipIdleCycles(Cycle watchdog)
         return;
     // Every skipped cycle is a zero-fetch cycle whose stall reason is
     // static across the window (the window ends at the first event that
-    // could change it): bulk-charge the one bucket so the partition
-    // identity — audited under --check — holds exactly.
-    fetchIdleCycles += window;
+    // could change it): bulk-charge it exactly as fetchStage would have
+    // cycle by cycle. An idle predictor with an empty FTQ makes the
+    // window 0, so a skipped empty-FTQ window is always redirect
+    // recovery, never starvation.
+    obs::StallReason reason = obs::StallReason::FtqEmptyMispredict;
     if (!ftq.empty()) {
         const FtqGroup &head = ftq.front();
-        if (head.accessPending || head.ready > now + 1)
-            fetchStallLineMiss += window;
-        else
-            fetchStallRobFull += window;
-    } else {
-        // An idle predictor with an empty FTQ makes the window 0, so a
-        // skipped empty-FTQ window is always redirect recovery
-        // (mispredict bucket), never starvation.
-        fetchStallFtqEmptyMispredict += window;
+        reason = head.accessPending || head.ready > now + 1
+            ? obs::StallReason::LineMiss
+            : obs::StallReason::BackendFull;
     }
+    chargeStall(reason, now + 1, window);
     now += window;
+}
+
+template <typename Done>
+void
+Cpu::simulate(trace::InstructionSource &trace, Cycle watchdog, Done done)
+{
+    while (true) {
+        ++now;
+        retireStage();
+        fetchStage();
+        // Guarded stage calls: both stages are no-ops (their first check
+        // fails) in the common case, and l1iAccessStage would still walk
+        // the whole FTQ to find no pending access.
+        if (ftqPendingAccess_ > 0)
+            l1iAccessStage();
+        if (wrongPathActive)
+            wrongPathStage();
+        predictStage(trace);
+        l1i_->tick(now);
+        l1d_->tick(now);
+        l2_->tick(now);
+        llc_->tick(now);
+
+        // Strides count calls, not cycles: a skipped window makes no
+        // call, so audits land only on cycles that act.
+        if (checks_ != nullptr)
+            checks_->run(now);
+
+        if (done())
+            break;
+        EIP_ASSERT(now < watchdog, "pipeline deadlock (watchdog expired)");
+        if (!perCycleReference_)
+            skipIdleCycles(watchdog);
+    }
+
+    // End-of-run sweep: strided audits run once more regardless of where
+    // their stride counter ended up.
+    if (checks_ != nullptr)
+        checks_->runAll(now);
+}
+
+void
+Cpu::resetMeasurement()
+{
+    measuring_ = true;
+    measureStartRetired_ = retired;
+    measureStartCycle_ = now;
+    dramStart_ = dram_->accesses();
+    l1i_->stats() = CacheStats{};
+    l1d_->stats() = CacheStats{};
+    l2_->stats() = CacheStats{};
+    llc_->stats() = CacheStats{};
+    branches = 0;
+    branchMispredicts = 0;
+    btbMisses = 0;
+    fetchStallLineMiss = 0;
+    fetchStallFtqEmptyMispredict = 0;
+    fetchStallFtqEmptyStarved = 0;
+    fetchStallRobFull = 0;
+    fetchIdleCycles = 0;
+    // The tracer's roll-ups must cover exactly the same window as the
+    // stats they reconcile against.
+    if (tracer_ != nullptr)
+        tracer_->measurementBoundary(now);
+    // The blame ledger resets with the stats it partitions; the per-line
+    // shadow state persists (warm-up-learned state legitimately explains
+    // measured misses).
+    if (why_ != nullptr)
+        why_->measurementBoundary();
+}
+
+uint64_t
+Cpu::measuredCycles() const
+{
+    // Sampled runs: warming advances `now` without charging cycles, so
+    // the measured cycle count is the in-window accumulator.
+    return sampledMode_ ? sampledCycles_
+                        : static_cast<uint64_t>(now - measureStartCycle_);
+}
+
+SimStats
+Cpu::collectStats() const
+{
+    SimStats stats;
+    stats.instructions = retired - measureStartRetired_;
+    stats.cycles = measuredCycles();
+    stats.branches = branches;
+    stats.branchMispredicts = branchMispredicts;
+    stats.btbMisses = btbMisses;
+    stats.fetchStallLineMiss = fetchStallLineMiss;
+    stats.fetchStallFtqEmptyMispredict = fetchStallFtqEmptyMispredict;
+    stats.fetchStallFtqEmptyStarved = fetchStallFtqEmptyStarved;
+    stats.fetchStallRobFull = fetchStallRobFull;
+    stats.fetchIdleCycles = fetchIdleCycles;
+    stats.l1i = l1i_->stats();
+    stats.l1d = l1d_->stats();
+    stats.l2 = l2_->stats();
+    stats.llc = llc_->stats();
+    stats.dramAccesses = dram_->accesses() - dramStart_;
+    return stats;
 }
 
 SimStats
@@ -585,104 +690,28 @@ Cpu::run(trace::InstructionSource &trace, uint64_t instructions,
     measureStartCycle_ = now;
     dramStart_ = dram_->accesses();
 
-    const uint64_t total_budget = warmup_instructions + instructions;
     // Generous watchdog: the core cannot be slower than 1 instruction per
     // 10k cycles unless the pipeline deadlocked (a bug).
-    const Cycle watchdog = 10000 * total_budget + 10'000'000;
+    const Cycle watchdog =
+        10000 * (warmup_instructions + instructions) + 10'000'000;
 
-    // Event-driven skipping stands down for observers that want every
-    // cycle: the tracer records per-cycle stall events and the invariant
-    // registry audits strided checks against the cycle counter. Both are
-    // pure observers, so results are identical either way — which the
-    // eipdiff skip axis pins down.
-    skipActive_ = cfg.eventSkip && tracer_ == nullptr && checks_ == nullptr;
-
-    while (true) {
-        ++now;
-        retireStage();
-        fetchStage();
-        // Guarded stage calls: both stages are no-ops (their first check
-        // fails) in the common case, and l1iAccessStage would still walk
-        // the whole FTQ to find no pending access.
-        if (ftqPendingAccess_ > 0)
-            l1iAccessStage();
-        if (wrongPathActive)
-            wrongPathStage();
-        predictStage(trace);
-        l1i_->tick(now);
-        l1d_->tick(now);
-        l2_->tick(now);
-        llc_->tick(now);
-
-        if (checks_ != nullptr)
-            checks_->run(now);
-
+    simulate(trace, watchdog, [&] {
         if (!measuring_ && retired >= warmup_instructions) {
-            measuring_ = true;
-            measureStartRetired_ = retired;
-            measureStartCycle_ = now;
-            dramStart_ = dram_->accesses();
-            l1i_->stats() = CacheStats{};
-            l1d_->stats() = CacheStats{};
-            l2_->stats() = CacheStats{};
-            llc_->stats() = CacheStats{};
-            branches = 0;
-            branchMispredicts = 0;
-            btbMisses = 0;
-            fetchStallLineMiss = 0;
-            fetchStallFtqEmptyMispredict = 0;
-            fetchStallFtqEmptyStarved = 0;
-            fetchStallRobFull = 0;
-            fetchIdleCycles = 0;
-            // The tracer's roll-ups must cover exactly the same window
-            // as the stats they reconcile against.
-            if (tracer_ != nullptr)
-                tracer_->measurementBoundary(now);
-            // The blame ledger resets with the stats it partitions; the
-            // per-line shadow state persists (warm-up-learned state
-            // legitimately explains measured misses).
-            if (why_ != nullptr)
-                why_->measurementBoundary();
+            resetMeasurement();
             if (profiler != nullptr)
                 profiler->transition("measure");
         }
         if (measuring_ && sampler != nullptr)
             sampler->tick(retired - measureStartRetired_,
                           now - measureStartCycle_);
-        if (measuring_ && retired >= measureStartRetired_ + instructions)
-            break;
-        EIP_ASSERT(now < watchdog, "pipeline deadlock (watchdog expired)");
-        if (skipActive_)
-            skipIdleCycles(watchdog);
-    }
-
-    // End-of-run sweep: strided audits run once more regardless of where
-    // their stride counter ended up.
-    if (checks_ != nullptr)
-        checks_->runAll(now);
+        return measuring_ && retired >= measureStartRetired_ + instructions;
+    });
 
     // Everything past the loop — stats assembly here, registry dump and
     // analysis extraction in the caller — is fill/drain bookkeeping.
     if (profiler != nullptr)
         profiler->transition("fill_drain");
-
-    SimStats stats;
-    stats.instructions = retired - measureStartRetired_;
-    stats.cycles = now - measureStartCycle_;
-    stats.branches = branches;
-    stats.branchMispredicts = branchMispredicts;
-    stats.btbMisses = btbMisses;
-    stats.fetchStallLineMiss = fetchStallLineMiss;
-    stats.fetchStallFtqEmptyMispredict = fetchStallFtqEmptyMispredict;
-    stats.fetchStallFtqEmptyStarved = fetchStallFtqEmptyStarved;
-    stats.fetchStallRobFull = fetchStallRobFull;
-    stats.fetchIdleCycles = fetchIdleCycles;
-    stats.l1i = l1i_->stats();
-    stats.l1d = l1d_->stats();
-    stats.l2 = l2_->stats();
-    stats.llc = llc_->stats();
-    stats.dramAccesses = dram_->accesses() - dramStart_;
-    return stats;
+    return collectStats();
 }
 
 uint64_t
@@ -788,31 +817,12 @@ Cpu::warmFunctional(trace::InstructionSource &trace, uint64_t instructions,
 void
 Cpu::beginSampledMeasurement()
 {
-    // Mirrors run()'s warm-up boundary: reset every statistic and pin
-    // the measurement origin. Warming freezes statistics afterwards, so
-    // the cumulative counters equal the sum over detailed windows.
+    // run()'s warm-up boundary: reset every statistic and pin the
+    // measurement origin. Warming freezes statistics afterwards, so the
+    // cumulative counters equal the sum over detailed windows.
     sampledMode_ = true;
     sampledCycles_ = 0;
-    measuring_ = true;
-    measureStartRetired_ = retired;
-    measureStartCycle_ = now;
-    dramStart_ = dram_->accesses();
-    l1i_->stats() = CacheStats{};
-    l1d_->stats() = CacheStats{};
-    l2_->stats() = CacheStats{};
-    llc_->stats() = CacheStats{};
-    branches = 0;
-    branchMispredicts = 0;
-    btbMisses = 0;
-    fetchStallLineMiss = 0;
-    fetchStallFtqEmptyMispredict = 0;
-    fetchStallFtqEmptyStarved = 0;
-    fetchStallRobFull = 0;
-    fetchIdleCycles = 0;
-    if (tracer_ != nullptr)
-        tracer_->measurementBoundary(now);
-    if (why_ != nullptr)
-        why_->measurementBoundary();
+    resetMeasurement();
 }
 
 Cpu::WindowStats
@@ -835,35 +845,7 @@ Cpu::runWindow(trace::InstructionSource &trace, uint64_t instructions)
     // already carries warming cycles).
     const Cycle watchdog = now + 10000 * instructions + 10'000'000;
 
-    skipActive_ = cfg.eventSkip && tracer_ == nullptr && checks_ == nullptr;
-
-    while (true) {
-        ++now;
-        retireStage();
-        fetchStage();
-        if (ftqPendingAccess_ > 0)
-            l1iAccessStage();
-        if (wrongPathActive)
-            wrongPathStage();
-        predictStage(trace);
-        l1i_->tick(now);
-        l1d_->tick(now);
-        l2_->tick(now);
-        llc_->tick(now);
-
-        if (checks_ != nullptr)
-            checks_->run(now);
-
-        if (retired >= target)
-            break;
-        EIP_ASSERT(now < watchdog, "pipeline deadlock (watchdog expired)");
-        if (skipActive_)
-            skipIdleCycles(watchdog);
-    }
-
-    if (checks_ != nullptr)
-        checks_->runAll(now);
-
+    simulate(trace, watchdog, [&] { return retired >= target; });
     sampledCycles_ += now - start_cycle;
 
     WindowStats window;
@@ -879,23 +861,7 @@ Cpu::runWindow(trace::InstructionSource &trace, uint64_t instructions)
 SimStats
 Cpu::sampledStats() const
 {
-    SimStats stats;
-    stats.instructions = retired - measureStartRetired_;
-    stats.cycles = sampledCycles_;
-    stats.branches = branches;
-    stats.branchMispredicts = branchMispredicts;
-    stats.btbMisses = btbMisses;
-    stats.fetchStallLineMiss = fetchStallLineMiss;
-    stats.fetchStallFtqEmptyMispredict = fetchStallFtqEmptyMispredict;
-    stats.fetchStallFtqEmptyStarved = fetchStallFtqEmptyStarved;
-    stats.fetchStallRobFull = fetchStallRobFull;
-    stats.fetchIdleCycles = fetchIdleCycles;
-    stats.l1i = l1i_->stats();
-    stats.l1d = l1d_->stats();
-    stats.l2 = l2_->stats();
-    stats.llc = llc_->stats();
-    stats.dramAccesses = dram_->accesses() - dramStart_;
-    return stats;
+    return collectStats();
 }
 
 void
@@ -905,13 +871,7 @@ Cpu::registerCounters(obs::CounterRegistry &reg)
     // recording a start value (rather than zeroing the counter itself).
     reg.counter("cpu.instructions",
                 [this]() { return retired - measureStartRetired_; });
-    reg.counter("cpu.cycles", [this]() {
-        // Sampled runs: warming advances `now` without charging cycles,
-        // so the measured cycle count is the in-window accumulator.
-        return sampledMode_
-            ? sampledCycles_
-            : static_cast<uint64_t>(now - measureStartCycle_);
-    });
+    reg.counter("cpu.cycles", [this]() { return measuredCycles(); });
     reg.counter("cpu.branches", &branches);
     reg.counter("cpu.branch_mispredicts", &branchMispredicts);
     reg.counter("cpu.btb_misses", &btbMisses);
@@ -929,9 +889,7 @@ Cpu::registerCounters(obs::CounterRegistry &reg)
                 [this]() { return dram_->accesses() - dramStart_; });
 
     reg.gauge("cpu.ipc", [this]() {
-        uint64_t cycles = sampledMode_
-            ? sampledCycles_
-            : static_cast<uint64_t>(now - measureStartCycle_);
+        uint64_t cycles = measuredCycles();
         uint64_t insts = retired - measureStartRetired_;
         return cycles == 0 ? 0.0
                            : static_cast<double>(insts) /

@@ -29,6 +29,7 @@ class EventTracer;
 class IntervalSampler;
 class MissAttribution;
 class PhaseProfiler;
+enum class StallReason : uint8_t;
 }
 
 namespace eip::check {
@@ -65,10 +66,9 @@ class Cpu
     /**
      * Attach the miss-attribution observer (see src/obs/why.hh) to the
      * L1I and arm the attached prefetcher's blame machinery. Nullable;
-     * a pure observer like the tracer — but unlike the tracer its hooks
-     * are all event-driven, so event-driven cycle skipping stays armed
-     * and the blame ledger is identical across skip/no-skip. Owned by
-     * the caller and must outlive the Cpu's last run(). When invariant
+     * a pure observer like the tracer, and its hooks are all
+     * event-driven, so skipped cycles owe it nothing. Owned by the
+     * caller and must outlive the Cpu's last run(). When invariant
      * checking is on, also registers the why.blame_partition audit
      * (blame categories partition the L1I demand misses exactly).
      */
@@ -174,8 +174,8 @@ class Cpu
     void beginSampledMeasurement();
 
     /**
-     * One detailed sampling window: full timing simulation (event
-     * skipping included, same eligibility rules as run()) until
+     * One detailed sampling window: full timing simulation (the same
+     * event-skipping loop as run()) until
      * @p instructions retire. Requires beginSampledMeasurement() first.
      * Returns this window's scalar deltas for the streaming estimator.
      */
@@ -262,13 +262,24 @@ class Cpu
     void l1iAccessStage();
     void fetchStage();
     void retireStage();
-    /**
-     * Event-driven cycle skipping: when the next inertWindow() cycles are
-     * no-ops, jump `now` past them in one step, bulk-incrementing the
-     * stall taxonomy. Only called when skipActive_ (requires
-     * cfg.eventSkip, no tracer, no invariant checking).
-     */
+    /** Charge @p cycles zero-fetch cycles from @p first on to @p reason
+     *  (its bucket and, when attached, the tracer's stall span). */
+    void chargeStall(obs::StallReason reason, Cycle first, uint64_t cycles);
+    /** Event-driven cycle skipping (DESIGN.md §3.8): when the next
+     *  inertWindow() cycles are no-ops, jump `now` past them in one
+     *  step, bulk-charging the stall taxonomy. */
     void skipIdleCycles(Cycle watchdog);
+    /** The one detailed loop of run() and runWindow(): simulate a cycle,
+     *  stop once @p done() holds, else skip the inert cycles after it. */
+    template <typename Done>
+    void simulate(trace::InstructionSource &trace, Cycle watchdog,
+                  Done done);
+    /** Warm-up boundary: zero every statistic and observer roll-up and
+     *  pin the measurement origin. */
+    void resetMeasurement();
+    /** Measured cycles (in sampled mode: the in-window cycles). */
+    uint64_t measuredCycles() const;
+    SimStats collectStats() const;
     /** Compute the completion cycle of an instruction entering the ROB. */
     Cycle backendLatency(const trace::Instruction &inst);
     /** Classify the prediction of a branch; trains all predictors and
@@ -319,9 +330,9 @@ class Cpu
     Addr lastPredictedPc = 0; ///< where the front-end believed it was going
     util::Ring<RobEntry> rob;
     uint64_t retired = 0;
-    /** Cycle skipping armed for the current run() (cfg.eventSkip and no
-     *  observer that wants every cycle: tracer or invariant checks). */
-    bool skipActive_ = false;
+    /** Tick every cycle: the reference schedule skipping must match.
+     *  Test-only, set through CpuTestPeer. */
+    bool perCycleReference_ = false;
 
     // Measurement-phase bookkeeping. Members (not run() locals) so that
     // registered counter closures can report measured-phase deltas live.

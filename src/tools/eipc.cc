@@ -4,7 +4,7 @@
  *
  *   eipc --socket PATH submit --workload W [--prefetcher ID]
  *        [--data-prefetcher ID] [--instructions N] [--warmup N]
- *        [--physical] [--no-skip] [--sample-interval N] [--inject-crash]
+ *        [--physical] [--sample-interval N] [--inject-crash]
  *        [--wait [--timeout SECONDS]] [--out FILE]
  *   eipc --socket PATH status --job N
  *   eipc --socket PATH fetch --job N [--out FILE]
@@ -41,7 +41,7 @@ usage()
         "commands:\n"
         "  submit    --workload W [--prefetcher ID] [--data-prefetcher ID]\n"
         "            [--instructions N] [--warmup N] [--physical]\n"
-        "            [--no-skip] [--sample-interval N] [--inject-crash]\n"
+        "            [--sample-interval N] [--inject-crash]\n"
         "            [--wait [--timeout SECONDS]] [--out FILE]\n"
         "  status    --job N\n"
         "  fetch     --job N [--out FILE]\n"
@@ -188,8 +188,6 @@ main(int argc, char **argv)
             run.warmup = parseU64(arg, operand());
         } else if (arg == "--physical") {
             run.physical = true;
-        } else if (arg == "--no-skip") {
-            run.eventSkip = false;
         } else if (arg == "--sample-interval") {
             run.sampleInterval = parseU64(arg, operand());
         } else if (arg == "--inject-crash") {

@@ -9,36 +9,29 @@
  *      1 worker vs N workers — the roll-up and every per-job artifact
  *      must match with an *empty* allow-list (the determinism contract
  *      of src/exec extended to the artifact bytes);
- *   2. per EIP_SIM_SCALE point: the same serial suite with event-driven
- *      cycle skipping disabled (--no-skip) — the skip is a pure
- *      scheduling transform (DESIGN.md §3.8), so the roll-up and every
- *      per-job artifact must match with an *empty* allow-list;
- *   3. interval sampling off vs on — only the sampling knob's own
+ *   2. interval sampling off vs on — only the sampling knob's own
  *      fields (manifest.sample_interval, samples) and environment
  *      timing may differ: the sampler is a pure observer;
- *   4. event tracing off vs on — nothing but environment timing may
+ *   3. event tracing off vs on — nothing but environment timing may
  *      differ: the tracer is a pure observer;
- *   5. single-run skip vs no-skip with timing included — only the
- *      host-speed fields (wall clock, host MIPS) may differ;
- *   6. phase profiling off vs on — the host-side phase profiler
+ *   4. phase profiling off vs on — the host-side phase profiler
  *      (src/obs/phase.hh) is a pure observer: only its own manifest
  *      field (phase_ms) and environment timing may differ;
- *   7. miss attribution off vs on — the blame ledger (--why,
+ *   5. miss attribution off vs on — the blame ledger (--why,
  *      DESIGN.md §3.11) is a pure observer: only its own artifact
  *      sections (the "why" object and the counters.why.* keys, which
  *      are appended after every historic counter) and environment
  *      timing may differ;
- *   8. miss attribution determinism: the why-enabled suite on 1 worker
- *      vs N workers vs serial no-skip — blame classification is
- *      event-driven, so the ledger (and everything else) must match
- *      with an *empty* allow-list across scheduling and skipping.
- *   9. capture vs replay — recording a workload's instruction stream to
+ *   6. miss attribution determinism: the why-enabled suite on 1 worker
+ *      vs N workers — the ledger (and everything else) must match with
+ *      an *empty* allow-list.
+ *   7. capture vs replay — recording a workload's instruction stream to
  *      a .trc file and replaying it through the trace backend must
  *      reproduce the direct run's artifact with an *empty* allow-list
  *      (both rendered under the origin workload's manifest, so every
  *      result byte is compared; the capture's own provenance fields are
  *      pinned equal by construction).
- *  10. sampled vs full — a numeric accuracy gate rather than a field
+ *   8. sampled vs full — a numeric accuracy gate rather than a field
  *      diff: per fig06 workload, a SMARTS-style sampled run (functional
  *      warming + periodic detailed windows, DESIGN.md §3.13) must
  *      bracket the full detailed run — the full IPC inside the sampled
@@ -46,6 +39,10 @@
  *      fixed budget rather than EIP_SIM_SCALE (warm-up has to cover the
  *      longest cold-cache transient in the suite, a property of the
  *      workload footprint, not of the budget).
+ *
+ * Event-driven cycle skipping (DESIGN.md §3.8) is the only detailed
+ * schedule, so every leg runs it; its equivalence with per-cycle
+ * ticking is gated in tests/test_skip.cc.
  *
  * Exit code 0 when every comparison is clean, 1 on any unexplained
  * divergence, 2 on usage errors. CI runs this instead of hand-rolled
@@ -238,25 +235,6 @@ diffSuiteLegs(check::DiffRunner &diff, const Options &opt,
                           harness::perJobArtifactPath(parallel, i),
                           kNothingAllowed);
     }
-
-    // Skip axis: the same serial batch with event-driven cycle skipping
-    // disabled. The scheduler transform must be invisible in the
-    // artifact bytes — empty allow-list, roll-up and per-job alike.
-    std::vector<harness::RunJob> noskip_batch = batch;
-    for (harness::RunJob &job : noskip_batch)
-        job.spec.eventSkip = false;
-    std::string noskip = opt.outDir + "/suite-scale" + scale +
-                         "-noskip.json";
-    harness::runBatchWithArtifacts(noskip_batch, 1, noskip);
-    diff.compareFiles("suite scale=" + scale + " skip vs no-skip",
-                      serial, noskip, kNothingAllowed);
-    for (size_t i = 0; i < batch.size(); ++i) {
-        diff.compareFiles("per-job scale=" + scale + " no-skip " +
-                              batch[i].workload.name,
-                          harness::perJobArtifactPath(serial, i),
-                          harness::perJobArtifactPath(noskip, i),
-                          kNothingAllowed);
-    }
 }
 
 /** Single-run artifact under @p spec as the eip-run/v1 text. */
@@ -309,26 +287,6 @@ diffTracingLeg(check::DiffRunner &diff, const Options &opt,
     diff.compare("tracing off vs on (" + workload.name + ")",
                  singleRunArtifact(workload, base),
                  singleRunArtifact(workload, traced),
-                 {"manifest.wall_clock_seconds", "manifest.host_wall_ms",
-                  "manifest.host_mips", "manifest.jobs"});
-}
-
-/** Single-run skip leg: with timing included in the artifact, skip vs
- *  no-skip may differ only in the host-speed fields. */
-void
-diffSkipSingleLeg(check::DiffRunner &diff, const Options &opt,
-                  const trace::Workload &workload)
-{
-    harness::RunSpec base = harness::RunSpec::defaultSpec();
-    base.configId = opt.prefetcher;
-    base.collectCounters = true;
-
-    harness::RunSpec noskip = base;
-    noskip.eventSkip = false;
-
-    diff.compare("skip vs no-skip (" + workload.name + ")",
-                 singleRunArtifact(workload, base),
-                 singleRunArtifact(workload, noskip),
                  {"manifest.wall_clock_seconds", "manifest.host_wall_ms",
                   "manifest.host_mips", "manifest.jobs"});
 }
@@ -489,10 +447,9 @@ diffSampledLeg(check::DiffRunner &diff, const Options &opt,
     }
 }
 
-/** Why determinism leg: the blame ledger is classified by event-driven
- *  hooks only, so the why-enabled suite must produce field-identical
- *  artifacts — ledger included — across worker counts and with cycle
- *  skipping disabled. Empty allow-list, roll-up and per-job alike. */
+/** Why determinism leg: the why-enabled suite must produce
+ *  field-identical artifacts — ledger included — across worker counts.
+ *  Empty allow-list, roll-up and per-job alike. */
 void
 diffWhyLegs(check::DiffRunner &diff, const Options &opt,
             const std::vector<trace::Workload> &suite,
@@ -517,25 +474,11 @@ diffWhyLegs(check::DiffRunner &diff, const Options &opt,
     diff.compareFiles("why suite scale=" + scale + " jobs=1 vs jobs=" +
                           std::to_string(opt.jobs),
                       serial, parallel, kNothingAllowed);
-
-    std::vector<harness::RunJob> noskip_batch = batch;
-    for (harness::RunJob &job : noskip_batch)
-        job.spec.eventSkip = false;
-    std::string noskip = opt.outDir + "/why-scale" + scale +
-                         "-noskip.json";
-    harness::runBatchWithArtifacts(noskip_batch, 1, noskip);
-    diff.compareFiles("why suite scale=" + scale + " skip vs no-skip",
-                      serial, noskip, kNothingAllowed);
     for (size_t i = 0; i < batch.size(); ++i) {
         diff.compareFiles("why per-job scale=" + scale + " " +
                               batch[i].workload.name,
                           harness::perJobArtifactPath(serial, i),
                           harness::perJobArtifactPath(parallel, i),
-                          kNothingAllowed);
-        diff.compareFiles("why per-job scale=" + scale + " no-skip " +
-                              batch[i].workload.name,
-                          harness::perJobArtifactPath(serial, i),
-                          harness::perJobArtifactPath(noskip, i),
                           kNothingAllowed);
     }
 }
@@ -572,13 +515,12 @@ main(int argc, char **argv)
             probe = w;
     diffSamplingLeg(diff, opt, probe);
     diffTracingLeg(diff, opt, probe);
-    diffSkipSingleLeg(diff, opt, probe);
     diffProfilingLeg(diff, opt, probe);
     diffWhyInertLeg(diff, opt, probe);
     diffCaptureReplayLeg(diff, opt, probe);
 
     // Why determinism at the first scale point only: the leg runs the
-    // suite three more times, so one point bounds the gate's runtime.
+    // suite twice more, so one point bounds the gate's runtime.
     diffWhyLegs(diff, opt, suite, opt.scales.front());
 
     // Sampled accuracy across the whole (one-per-category) suite at its

@@ -7,9 +7,9 @@
  * segmented allocation buys nothing — a Ring never allocates after
  * construction and indexes with a power-of-two mask.
  *
- * Unlike util::CircularBuffer (overwrite-oldest, newest-first indexing),
- * a full Ring rejects pushes: exceeding the capacity is a simulator bug
+ * A full Ring rejects pushes: exceeding the capacity is a simulator bug
  * (the occupancy bound was checked by the caller), so push asserts.
+ * Overwrite-oldest history is pop_front() before push_back() when full.
  */
 
 #ifndef EIP_UTIL_RING_HH

@@ -177,8 +177,34 @@ TEST(Json, ParserRejectsMalformedInput)
     EXPECT_FALSE(obs::parseJson("{\"a\": 1} trailing").has_value());
     EXPECT_FALSE(obs::parseJson("").has_value());
     std::string error;
-    EXPECT_FALSE(obs::parseJson("[1, 2", &error).has_value());
+    obs::JsonParseError kind = obs::JsonParseError::None;
+    EXPECT_FALSE(obs::parseJson("[1, 2", &error, &kind).has_value());
     EXPECT_FALSE(error.empty());
+    EXPECT_EQ(kind, obs::JsonParseError::Malformed);
+}
+
+TEST(Json, ParserBoundsNestingDepth)
+{
+    // 2 MB of '[' used to recurse once per byte until the stack
+    // overflowed; it must be refused as too deep instead.
+    std::string error;
+    obs::JsonParseError kind = obs::JsonParseError::None;
+    EXPECT_FALSE(obs::parseJson(std::string(2u << 20, '['), &error, &kind)
+                     .has_value());
+    EXPECT_EQ(kind, obs::JsonParseError::TooDeep);
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos);
+
+    // The bound itself still parses; one level more does not.
+    auto nested = [](size_t levels) {
+        return std::string(levels, '[') + std::string(levels, ']');
+    };
+    auto at_bound = obs::parseJson(nested(obs::kMaxJsonDepth), &error, &kind);
+    EXPECT_TRUE(at_bound.has_value()) << error;
+    EXPECT_EQ(kind, obs::JsonParseError::None);
+    EXPECT_FALSE(obs::parseJson(nested(obs::kMaxJsonDepth + 1), &error,
+                                &kind)
+                     .has_value());
+    EXPECT_EQ(kind, obs::JsonParseError::TooDeep);
 }
 
 /** The key round-trip: every SimStats counter registered through

@@ -108,9 +108,6 @@ TEST(CanonicalSerialization, EveryRunSpecFieldIsKeyed)
     changed.dataPrefetcher = "stride";
     EXPECT_NE(key(changed), key(base));
     changed = base;
-    changed.eventSkip = !changed.eventSkip;
-    EXPECT_NE(key(changed), key(base));
-    changed = base;
     changed.wrongPath = !changed.wrongPath;
     EXPECT_NE(key(changed), key(base));
     changed = base;
@@ -214,19 +211,21 @@ TEST(CanonicalSerialization, GoldenDigestsPinTheFormat)
               "50a8177abac59216");
     EXPECT_EQ(digest(exec::canonicalExecutorConfig(trace::ExecutorConfig{})),
               "bd21d74ba45aa9f5");
+    // Re-pinned when the event-skipping key left SimConfig and RunSpec
+    // (event-driven skipping became the only schedule, so the knob is
+    // gone) — a conscious format change; every cached key went cold.
     EXPECT_EQ(digest(harness::canonicalSimConfig(sim::SimConfig{})),
-              "f18e7181c5558662");
-    // Re-pinned when the sampled-simulation fields (sample_mode/window/
-    // period/seed/warm) entered the canonical form — a conscious format
-    // change; every cached full-run key went cold with it.
+              "5f165d4c9c37444a");
+    // Also re-pinned earlier when the sampled-simulation fields
+    // (sample_mode/window/period/seed/warm) entered the canonical form.
     EXPECT_EQ(digest(harness::canonicalRunSpec(harness::RunSpec{})),
-              "b9882947f3db8fe6");
+              "2cd49db9eb90be2e");
     EXPECT_EQ(digest(harness::canonicalWorkload(trace::tinyWorkload())),
               "f5541ee1de68d03a");
     EXPECT_EQ(harness::resultCacheKey("golden", sim::SimConfig{},
                                       harness::RunSpec{},
                                       trace::tinyWorkload()),
-              "140c8bf86f3fede6");
+              "f5daa562357495f2");
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/result_cache.hh"
+#include "serve/socket_io.hh"
 #include "serve/worker.hh"
 #include "sim/config.hh"
 #include "trace/workloads.hh"
@@ -127,7 +128,6 @@ TEST(ServeProtocol, SubmitRoundTripsThroughJson)
     request.run.instructions = 123456;
     request.run.warmup = 7890;
     request.run.physical = true;
-    request.run.eventSkip = false;
     request.run.sampleInterval = 1000;
     request.run.injectCrash = true;
 
@@ -143,7 +143,6 @@ TEST(ServeProtocol, SubmitRoundTripsThroughJson)
     EXPECT_EQ(parsed.run.instructions, 123456u);
     EXPECT_EQ(parsed.run.warmup, 7890u);
     EXPECT_TRUE(parsed.run.physical);
-    EXPECT_FALSE(parsed.run.eventSkip);
     EXPECT_EQ(parsed.run.sampleInterval, 1000u);
     EXPECT_TRUE(parsed.run.injectCrash);
 }
@@ -357,6 +356,38 @@ TEST(ServeDaemon, InvalidRequestsGetStructuredErrors)
 
     obs::CounterDump stats = daemon.statsDump();
     EXPECT_GE(stats.counter("serve.invalid").value(), 3u);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, DeeplyNestedRequestLineIsRefused)
+{
+    // Requests are parsed on the connection thread, outside fork
+    // isolation: a 2 MB line of '[' must get an invalid answer, not
+    // overflow that thread's stack and take the daemon down.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("nested");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    int fd = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    ASSERT_TRUE(serve::sendLine(fd, std::string(2u << 20, '[')));
+    serve::LineReader reader(fd);
+    std::string response;
+    ASSERT_TRUE(reader.readLine(response));
+    ::close(fd);
+    std::optional<obs::JsonValue> doc = obs::parseJson(response);
+    ASSERT_TRUE(doc.has_value()) << response;
+    EXPECT_EQ(doc->find("status")->string, "invalid");
+    EXPECT_NE(response.find("nesting deeper than"), std::string::npos);
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    std::string stats_line;
+    ASSERT_TRUE(client.stats(stats_line, &error)) << error;
+    EXPECT_GE(daemon.statsDump().counter("serve.invalid").value(), 1u);
 
     daemon.stop();
 }

@@ -1,20 +1,35 @@
 /**
  * @file
- * Tests for the event-driven cycle scheduler (DESIGN.md §3.8):
- * nextEventCycle()/inertWindow() pinned on hand-built pipeline states
- * through CpuTestPeer, skipIdleCycles' bulk stall accounting, and full
- * skip-vs-no-skip artifact equality through the harness — including runs
- * with a warm-up boundary and an interval sampler, so a skip that jumped
- * a measurement edge or a sampler stride would show up as divergence.
+ * Tests for the event-driven cycle scheduler (DESIGN.md §3.8), the only
+ * detailed schedule of sim::Cpu: nextEventCycle()/inertWindow() pinned on
+ * hand-built pipeline states through CpuTestPeer, skipIdleCycles' bulk
+ * stall accounting, and the equivalence gate — every observable of a
+ * skipping run (SimStats, registered counters, sampler rows, the --why
+ * ledger, tracer events, invariant audits, sampled windows) must equal
+ * the per-cycle reference schedule's, which ticks every cycle. Runs carry
+ * a warm-up boundary and a sampler stride that does not divide the
+ * budget, so a skip that jumped a measurement edge or a stride would show
+ * up as divergence.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "harness/artifacts.hh"
-#include "harness/runner.hh"
+#include "check/invariants.hh"
+#include "obs/json.hh"
+#include "obs/registry.hh"
+#include "obs/sampler.hh"
+#include "obs/trace.hh"
+#include "obs/why.hh"
+#include "prefetch/factory.hh"
 #include "sim/cpu.hh"
+#include "trace/program_builder.hh"
+#include "trace/source.hh"
 #include "trace/workloads.hh"
 
 namespace eip::sim {
@@ -71,23 +86,10 @@ class CpuTestPeer
 
     static void skip(Cpu &cpu, Cycle bound) { cpu.skipIdleCycles(bound); }
 
-    static uint64_t idle(const Cpu &cpu) { return cpu.fetchIdleCycles; }
-    static uint64_t lineMiss(const Cpu &cpu)
-    {
-        return cpu.fetchStallLineMiss;
-    }
-    static uint64_t robFull(const Cpu &cpu)
-    {
-        return cpu.fetchStallRobFull;
-    }
-    static uint64_t emptyMispredict(const Cpu &cpu)
-    {
-        return cpu.fetchStallFtqEmptyMispredict;
-    }
-    static uint64_t emptyStarved(const Cpu &cpu)
-    {
-        return cpu.fetchStallFtqEmptyStarved;
-    }
+    /** Switch @p cpu to the per-cycle reference schedule. */
+    static void tickEveryCycle(Cpu &cpu) { cpu.perCycleReference_ = true; }
+
+    static SimStats stats(const Cpu &cpu) { return cpu.collectStats(); }
 };
 
 namespace {
@@ -201,11 +203,12 @@ TEST(SkipScheduler, SkipBulkChargesOneBucket)
     CpuTestPeer::pushFtqGroup(miss, 5, /*ready=*/40, false);
     CpuTestPeer::skip(miss, kBound);
     EXPECT_EQ(CpuTestPeer::now(miss), 39u);
-    EXPECT_EQ(CpuTestPeer::idle(miss), 39u);
-    EXPECT_EQ(CpuTestPeer::lineMiss(miss), 39u);
-    EXPECT_EQ(CpuTestPeer::robFull(miss), 0u);
-    EXPECT_EQ(CpuTestPeer::emptyMispredict(miss), 0u);
-    EXPECT_EQ(CpuTestPeer::emptyStarved(miss), 0u);
+    SimStats s = CpuTestPeer::stats(miss);
+    EXPECT_EQ(s.fetchIdleCycles, 39u);
+    EXPECT_EQ(s.fetchStallLineMiss, 39u);
+    EXPECT_EQ(s.fetchStallRobFull, 0u);
+    EXPECT_EQ(s.fetchStallFtqEmptyMispredict, 0u);
+    EXPECT_EQ(s.fetchStallFtqEmptyStarved, 0u);
 
     // Redirect recovery: empty FTQ behind an unresolved branch.
     Cpu redirect{SimConfig{}};
@@ -213,48 +216,225 @@ TEST(SkipScheduler, SkipBulkChargesOneBucket)
     CpuTestPeer::pushRob(redirect, 25);
     CpuTestPeer::skip(redirect, kBound);
     EXPECT_EQ(CpuTestPeer::now(redirect), 24u);
-    EXPECT_EQ(CpuTestPeer::emptyMispredict(redirect), 24u);
-    EXPECT_EQ(CpuTestPeer::lineMiss(redirect), 0u);
+    s = CpuTestPeer::stats(redirect);
+    EXPECT_EQ(s.fetchStallFtqEmptyMispredict, 24u);
+    EXPECT_EQ(s.fetchStallLineMiss, 0u);
 
     // No window -> no accounting movement at all.
     Cpu busy{SimConfig{}};
     CpuTestPeer::skip(busy, kBound);
     EXPECT_EQ(CpuTestPeer::now(busy), 0u);
-    EXPECT_EQ(CpuTestPeer::idle(busy), 0u);
+    EXPECT_EQ(CpuTestPeer::stats(busy).fetchIdleCycles, 0u);
 }
 
-/** Artifact text of one run (timing excluded) — the full counter,
- *  gauge, histogram and sample content in eip-run/v1 form. */
-std::string
-artifactOf(const trace::Workload &workload, const harness::RunSpec &spec)
+/** One detailed run driven straight through sim::Cpu. */
+struct RunCase
 {
-    harness::RunResult result = harness::runOne(workload, spec);
-    obs::RunManifest manifest =
-        harness::makeManifest(workload, spec, result);
-    return harness::runArtifactJson(manifest, result,
-                                    /*include_timing=*/false);
-}
-
-TEST(SkipScheduler, SkipVsNoSkipArtifactsIdentical)
-{
-    // Warm-up boundary and an interval sampler with a stride that does
-    // not divide the budget: if a skip window ever jumped the warm-up
-    // edge, a sampler stride, or the end-of-measurement boundary, the
-    // cycle counts or sample rows would diverge.
     trace::Workload workload = trace::tinyWorkload();
+    std::string prefetcher = "entangling-4k";
+    uint64_t warmup = 20000;
+    uint64_t instructions = 40000;
+    uint64_t sampleInterval = 7001; ///< does not divide the budget
+    bool why = false;
+    bool traced = false;
+    /** Functional warming + detailed windows instead of run(). */
+    bool sampled = false;
+};
+
+/** What a run exposes — SimStats, registered counters, sampler rows or
+ *  sampled windows, the why ledger and trace events — as one text. */
+struct Observed
+{
+    std::string text;
+    uint64_t checksExecuted = 0;
+    std::optional<std::string> checkFailure;
+};
+
+std::string
+dumpText(const obs::CounterRegistry &reg)
+{
+    obs::JsonWriter json;
+    json.beginObject();
+    obs::writeCounterSections(json, reg.dump());
+    json.endObject();
+    return json.str() + "\n";
+}
+
+std::string
+statsText(const SimStats &stats)
+{
+    obs::CounterRegistry reg;
+    registerSimStats(reg, stats);
+    return dumpText(reg);
+}
+
+std::string
+rowText(uint64_t instructions, uint64_t cycles,
+        const std::vector<uint64_t> &values)
+{
+    std::string text = std::to_string(instructions) + "/" +
+                       std::to_string(cycles) + ":";
+    for (uint64_t v : values)
+        text += " " + std::to_string(v);
+    return text + "\n";
+}
+
+Observed
+observe(const RunCase &spec, const trace::Program &program, bool reference)
+{
+    Cpu cpu{SimConfig{}};
+    if (reference)
+        CpuTestPeer::tickEveryCycle(cpu);
+    std::unique_ptr<Prefetcher> pf = prefetch::makePrefetcher(spec.prefetcher);
+    if (pf != nullptr)
+        cpu.attachL1iPrefetcher(pf.get());
+    obs::EventTracer tracer;
+    if (spec.traced)
+        cpu.attachTracer(&tracer);
+    obs::MissAttribution why;
+    if (spec.why)
+        cpu.attachWhy(&why);
+    obs::CounterRegistry reg;
+    cpu.registerCounters(reg);
+    std::unique_ptr<trace::InstructionSource> source =
+        trace::makeTraceSource(spec.workload, &program)->open();
+
+    Observed out;
+    if (spec.sampled) {
+        // A hand-rolled periodic schedule: functional warm-up, then six
+        // detailed windows with CPI-fed warming gaps in between.
+        cpu.warmFunctional(*source, spec.warmup);
+        cpu.beginSampledMeasurement();
+        Cpu::WindowStats w;
+        for (int i = 0; i < 6; ++i) {
+            if (i > 0)
+                cpu.warmFunctional(*source, 9000, w.cycles, w.instructions);
+            w = cpu.runWindow(*source, 5000);
+            out.text += rowText(w.instructions, w.cycles,
+                                {w.l1iDemandMisses, w.l1iUsefulPrefetches,
+                                 w.l1iLatePrefetches, w.l1iPrefetchIssued});
+        }
+        out.text += statsText(cpu.sampledStats());
+    } else {
+        obs::IntervalSampler sampler(reg, spec.sampleInterval);
+        out.text += statsText(cpu.run(*source, spec.instructions,
+                                      spec.warmup, &sampler));
+        EXPECT_FALSE(sampler.samples().empty());
+        for (const obs::Sample &row : sampler.samples())
+            out.text += rowText(row.instructions, row.cycles, row.values);
+    }
+    out.text += dumpText(reg);
+    if (spec.why) {
+        obs::JsonWriter json;
+        json.beginObject();
+        obs::writeWhySection(json, why.dump());
+        json.endObject();
+        out.text += json.str();
+    }
+    if (spec.traced) {
+        tracer.finish();
+        out.text += tracer.toJson();
+    }
+    if (cpu.invariants() != nullptr) {
+        out.checksExecuted = cpu.invariants()->executed();
+        out.checkFailure = cpu.invariants()->firstFailure();
+    }
+    return out;
+}
+
+/** Run @p spec skipping and per-cycle; require identical observables.
+ *  Returns {skipping run, reference run}. */
+std::pair<Observed, Observed>
+expectSkipMatchesReference(const RunCase &spec)
+{
+    const trace::Program program = trace::buildProgram(spec.workload.program);
+    Observed skip = observe(spec, program, /*reference=*/false);
+    Observed ref = observe(spec, program, /*reference=*/true);
+    if (skip.text != ref.text) {
+        const size_t at = static_cast<size_t>(
+            std::mismatch(skip.text.begin(), skip.text.end(),
+                          ref.text.begin(), ref.text.end())
+                .first -
+            skip.text.begin());
+        const size_t from = at < 60 ? 0 : at - 60;
+        ADD_FAILURE() << spec.workload.name << " under " << spec.prefetcher
+                      << ": skipping diverges from the per-cycle reference"
+                      << " at byte " << at << "\n  skip: "
+                      << skip.text.substr(from, 120)
+                      << "\n  ref:  " << ref.text.substr(from, 120);
+    }
+    return {skip, ref};
+}
+
+trace::Workload
+serverWorkload()
+{
+    for (const trace::Workload &w : trace::cvpSuite(1))
+        if (w.category == "srv")
+            return w;
+    ADD_FAILURE() << "no srv workload in cvpSuite(1)";
+    return trace::tinyWorkload();
+}
+
+TEST(SkipReference, EveryCategoryMatchesPerCycle)
+{
+    // cvpSuite(1) holds one crypto, int, fp and srv workload.
+    std::vector<trace::Workload> workloads = trace::cvpSuite(1);
+    workloads.push_back(trace::cloudSuite().front());
+    for (const trace::Workload &w : workloads) {
+        RunCase spec;
+        spec.workload = w;
+        expectSkipMatchesReference(spec);
+    }
+    RunCase none;
+    none.prefetcher = "none";
+    expectSkipMatchesReference(none);
+}
+
+TEST(SkipReference, WhyLedgerMatchesPerCycle)
+{
+    RunCase spec;
+    spec.workload = serverWorkload();
+    spec.why = true;
+    auto [skip, ref] = expectSkipMatchesReference(spec);
+    EXPECT_NE(skip.text.find("never_predicted"), std::string::npos);
+}
+
+TEST(SkipReference, TraceEventsMatchPerCycle)
+{
+    // Skipped windows reach the tracer as one bulk stall charge merged
+    // into the open span: the event stream must be the per-cycle one.
+    RunCase spec;
+    spec.workload = serverWorkload();
+    spec.traced = true;
+    auto [skip, ref] = expectSkipMatchesReference(spec);
+    EXPECT_NE(skip.text.find("\"stall\""), std::string::npos);
+}
+
+TEST(SkipReference, CheckedRunSkipsAndFiresNothing)
+{
+    const bool was = check::checksEnabled();
+    check::setChecksEnabled(true);
+    RunCase spec;
+    spec.workload = serverWorkload();
+    auto [skip, ref] = expectSkipMatchesReference(spec);
+    check::setChecksEnabled(was);
+
+    EXPECT_EQ(skip.checkFailure.value_or(""), "");
+    // Audits run once per simulated (not skipped) cycle: fewer
+    // evaluations prove the checked run took the skip path.
+    EXPECT_GT(skip.checksExecuted, 0u);
+    EXPECT_LT(skip.checksExecuted, ref.checksExecuted);
+}
+
+TEST(SkipReference, SampledWindowsMatchPerCycle)
+{
     for (const char *config : {"none", "entangling-4k"}) {
-        harness::RunSpec spec;
-        spec.configId = config;
-        spec.instructions = 60000;
-        spec.warmup = 30000;
-        spec.sampleInterval = 7001;
-        spec.collectCounters = true;
-
-        harness::RunSpec noskip = spec;
-        noskip.eventSkip = false;
-
-        EXPECT_EQ(artifactOf(workload, spec), artifactOf(workload, noskip))
-            << "skip changed results under config " << config;
+        RunCase spec;
+        spec.workload = serverWorkload();
+        spec.prefetcher = config;
+        spec.sampled = true;
+        expectSkipMatchesReference(spec);
     }
 }
 

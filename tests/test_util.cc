@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the utility substrate: bit operations, saturating
- * counters, circular buffers, the RNG, histograms, statistics helpers and
- * the table printer.
+ * counters, the RNG, histograms, statistics helpers and the table
+ * printer.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <set>
 
 #include "util/bitops.hh"
-#include "util/circular_buffer.hh"
 #include "util/hash.hh"
 #include "util/histogram.hh"
 #include "util/lru.hh"
@@ -120,56 +119,6 @@ TEST(SaturatingCounter, SetClamps)
     SaturatingCounter c(3);
     c.set(100);
     EXPECT_EQ(c.value(), 7u);
-}
-
-TEST(CircularBuffer, PushAndAccessNewestFirst)
-{
-    CircularBuffer<int> buf(4);
-    EXPECT_TRUE(buf.empty());
-    buf.push(1);
-    buf.push(2);
-    buf.push(3);
-    EXPECT_EQ(buf.size(), 3u);
-    EXPECT_EQ(buf.fromNewest(0), 3);
-    EXPECT_EQ(buf.fromNewest(1), 2);
-    EXPECT_EQ(buf.fromNewest(2), 1);
-}
-
-TEST(CircularBuffer, OverwritesOldestWhenFull)
-{
-    CircularBuffer<int> buf(3);
-    for (int i = 1; i <= 5; ++i)
-        buf.push(i);
-    EXPECT_TRUE(buf.full());
-    EXPECT_EQ(buf.fromNewest(0), 5);
-    EXPECT_EQ(buf.fromNewest(2), 3);
-}
-
-TEST(CircularBuffer, SlotReferencesAndAges)
-{
-    CircularBuffer<int> buf(4);
-    buf.push(10);
-    size_t slot = buf.slotOfNewest(0);
-    buf.push(20);
-    buf.push(30);
-    EXPECT_EQ(buf.atSlot(slot), 10);
-    EXPECT_EQ(buf.ageOfSlot(slot), 2u);
-    buf.push(40); // buffer now full; slot holds the oldest element
-    EXPECT_EQ(buf.ageOfSlot(slot), 3u);
-    // One more push recycles the slot: the age wraps to 0 (the documented
-    // modulo-capacity semantics — staleness needs caller-side tracking).
-    buf.push(50);
-    EXPECT_EQ(buf.ageOfSlot(slot), 0u);
-}
-
-TEST(CircularBuffer, PopOldest)
-{
-    CircularBuffer<int> buf(3);
-    buf.push(1);
-    buf.push(2);
-    buf.popOldest();
-    EXPECT_EQ(buf.size(), 1u);
-    EXPECT_EQ(buf.fromNewest(0), 2);
 }
 
 TEST(Rng, Deterministic)
