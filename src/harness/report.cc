@@ -118,33 +118,4 @@ printPerCategory(const std::string &title,
     report_log.push_back(std::move(record));
 }
 
-void
-printMatrix(const std::string &title,
-            const std::vector<std::string> &config_names,
-            const std::vector<std::string> &columns,
-            const std::vector<std::vector<double>> &cells)
-{
-    std::printf("%s\n", title.c_str());
-
-    ReportRecord record;
-    record.title = title;
-    record.configs = config_names;
-    record.columns = columns;
-    record.cells = cells;
-
-    TablePrinter table;
-    table.newRow();
-    table.cell(std::string("config"));
-    for (const auto &col : columns)
-        table.cell(col);
-    for (size_t c = 0; c < config_names.size(); ++c) {
-        table.newRow();
-        table.cell(config_names[c]);
-        for (double value : cells[c])
-            table.cell(value, 3);
-    }
-    table.print();
-    report_log.push_back(std::move(record));
-}
-
 } // namespace eip::harness

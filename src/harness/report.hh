@@ -54,18 +54,6 @@ void printPerCategory(const std::string &title,
                       const std::vector<std::vector<RunResult>> &results,
                       const Metric &metric);
 
-/**
- * Print a pre-computed value matrix — one row per config, one column per
- * @p columns entry — and push it to the report log like the helpers
- * above. For benches whose cells are not per-run metrics (e.g. the
- * host-speed tables of bench/micro_simspeed). @p cells is [config][column]
- * and must be rectangular.
- */
-void printMatrix(const std::string &title,
-                 const std::vector<std::string> &config_names,
-                 const std::vector<std::string> &columns,
-                 const std::vector<std::vector<double>> &cells);
-
 } // namespace eip::harness
 
 #endif // EIP_HARNESS_REPORT_HH

@@ -4,11 +4,11 @@
  * of coarse phases — program_build, warmup, measure, fill_drain, plus
  * one-off scopes like prefetcher construction or artifact
  * serialization — and knowing where the host time goes is what turns
- * a host-MIPS number in `BENCH_simspeed.json` from a mystery into a
- * diagnosis. The profiler records the interval of every phase
- * occurrence and accumulates per-phase totals (first-seen order, so
- * manifests stay byte-stable); totals land in `eip-run/v1` manifests
- * as `phase_ms`, intervals become spans in the serve trace.
+ * a host-MIPS number from a mystery into a diagnosis. The profiler
+ * records the interval of every phase occurrence and accumulates
+ * per-phase totals (first-seen order, so manifests stay byte-stable);
+ * totals land in `eip-run/v1` manifests as `phase_ms`, intervals
+ * become spans in the serve trace.
  *
  * Hook discipline matches the tracer and the invariant auditor: the
  * simulator only calls `transition()` at phase boundaries (a few

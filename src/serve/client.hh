@@ -1,11 +1,11 @@
 /**
  * @file
  * eipd client: connects to a daemon socket and speaks the eip-serve/v1
- * protocol — submit, poll, fetch, stats, shutdown. The eipc CLI, the
- * servestorm bench and the serve tests are all thin layers over this
- * class. Errors are return values, never fatals: a client embedded in
- * a bench must be able to observe a rejected (backpressured) submit and
- * retry it.
+ * protocol — submit, poll, fetch, stats, shutdown. The eipc CLI,
+ * perfbench's serve-storm workload and the serve tests are all thin
+ * layers over this class. Errors are return values, never fatals: a
+ * client embedded in a bench must be able to observe a rejected
+ * (backpressured) submit and retry it.
  */
 
 #ifndef EIP_SERVE_CLIENT_HH

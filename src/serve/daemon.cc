@@ -3,8 +3,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <system_error>
 #include <utility>
 
 #include "exec/program_cache.hh"
@@ -66,6 +68,12 @@ Daemon::Daemon(DaemonOptions options)
                       [this] { return queue_.highWater(); });
     registry_.gauge("serve.queue.depth", [this] {
         return static_cast<double>(queue_.depth());
+    });
+    registry_.gauge("serve.connections", [this] {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        return static_cast<double>(
+            std::count_if(conns_.begin(), conns_.end(),
+                          [](const Connection &c) { return !c.done; }));
     });
     cache_.registerStats(registry_, "serve.cache");
     // The program cache only sees cold (forked) runs' parents — the
@@ -185,11 +193,12 @@ Daemon::stop()
     // threads can appear once the accept loop is gone.
     {
         std::lock_guard<std::mutex> lock(connMutex_);
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RDWR);
+        for (const Connection &conn : conns_)
+            if (!conn.done)
+                ::shutdown(conn.fd, SHUT_RDWR);
     }
-    for (std::thread &thread : connThreads_)
-        thread.join();
+    for (Connection &conn : conns_)
+        conn.thread.join();
 
     // Drain the backlog through the workers, then retire them: close()
     // makes pop() return empty only once the queue is dry, so every
@@ -217,14 +226,39 @@ Daemon::acceptLoop()
             return; // listen socket shut down: we are stopping
         }
         std::lock_guard<std::mutex> lock(connMutex_);
-        connFds_.push_back(fd);
-        connThreads_.emplace_back([this, fd] { serveConnection(fd); });
+        reapConnections();
+        Connection &conn = conns_.emplace_back();
+        conn.fd = fd;
+        try {
+            conn.thread = std::thread([this, &conn] { serveConnection(conn); });
+        } catch (const std::system_error &e) {
+            conns_.pop_back();
+            ::close(fd);
+            EIP_LOG_WARN("eipd", "connection_refused",
+                         obs::LogField("error", e.what()));
+        }
     }
 }
 
 void
-Daemon::serveConnection(int fd)
+Daemon::reapConnections()
 {
+    // A done thread only has its close() left to run, so joining it
+    // under connMutex_ cannot wait on this lock.
+    for (auto it = conns_.begin(); it != conns_.end();) {
+        if (!it->done) {
+            ++it;
+            continue;
+        }
+        it->thread.join();
+        it = conns_.erase(it);
+    }
+}
+
+void
+Daemon::serveConnection(Connection &conn)
+{
+    const int fd = conn.fd;
     LineReader reader(fd);
     std::string line;
     while (reader.readLine(line)) {
@@ -247,16 +281,12 @@ Daemon::serveConnection(int fd)
         if (is_shutdown)
             break;
     }
-    // Forget the fd before closing it: once closed its number can be
-    // reused by another open, and stop() must never shutdown() that.
+    // Mark the connection done before closing its fd: once closed the
+    // number can be reused by another open, and stop() must never
+    // shutdown() that.
     {
         std::lock_guard<std::mutex> lock(connMutex_);
-        for (size_t i = 0; i < connFds_.size(); ++i) {
-            if (connFds_[i] == fd) {
-                connFds_.erase(connFds_.begin() + i);
-                break;
-            }
-        }
+        conn.done = true;
     }
     ::close(fd);
 }

@@ -1,12 +1,13 @@
 /**
  * @file
  * The eipd job server: simulation as a service over a local Unix-domain
- * socket. One accept thread spawns a thread per connection; parsed
- * submit requests pass through a bounded admission queue (full queue =
- * explicit "rejected" response, the client's cue to back off) to a
- * small pool of dispatcher threads, each of which forks the actual
- * simulation into a throwaway child process (src/serve/worker.hh) so a
- * crashing run can never take the daemon down.
+ * socket. One accept thread spawns a thread per connection and joins
+ * those of connections that have closed; parsed submit requests pass
+ * through a bounded admission queue (full queue = explicit "rejected"
+ * response, the client's cue to back off) to a small pool of dispatcher
+ * threads, each of which forks the actual simulation into a throwaway
+ * child process (src/serve/worker.hh) so a crashing run can never take
+ * the daemon down.
  *
  * Completed artifacts land in a content-addressed ResultCache keyed by
  * harness::resultCacheKey; a resubmitted request is answered from the
@@ -22,6 +23,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -121,10 +123,19 @@ class Daemon
         std::string error;
     };
 
+    /** One client connection and the thread serving it. */
+    struct Connection
+    {
+        int fd = -1;
+        bool done = false; ///< serving finished; the fd is closed or closing
+        std::thread thread;
+    };
+
     static const char *stateName(Job::State state);
 
     void acceptLoop();
-    void serveConnection(int fd);
+    void reapConnections();
+    void serveConnection(Connection &conn);
     void workerLoop();
 
     std::string dispatch(const Request &request);
@@ -143,8 +154,7 @@ class Daemon
     std::thread acceptThread_;
     std::vector<std::thread> workerThreads_;
     std::mutex connMutex_;
-    std::vector<std::thread> connThreads_;
-    std::vector<int> connFds_; ///< live connection fds (for hangup)
+    std::list<Connection> conns_; ///< guarded by connMutex_
 
     std::mutex stopMutex_;
     std::condition_variable stopCv_;

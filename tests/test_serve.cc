@@ -11,6 +11,8 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -388,6 +390,66 @@ TEST(ServeDaemon, DeeplyNestedRequestLineIsRefused)
     std::string stats_line;
     ASSERT_TRUE(client.stats(stats_line, &error)) << error;
     EXPECT_GE(daemon.statsDump().counter("serve.invalid").value(), 1u);
+
+    daemon.stop();
+}
+
+/** This process's virtual size in MB, from /proc/self/status. */
+double
+vmSizeMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stod(line.substr(7)) / 1024.0;
+    return 0.0;
+}
+
+TEST(ServeDaemon, ClosedConnectionThreadsAreReaped)
+{
+    // Every connection gets a thread with its own stack; one that is
+    // never joined keeps that mapping for the daemon's lifetime.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("reap");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    // Live connections; a daemon without the gauge counts as none.
+    auto live = [&] {
+        return daemon.statsDump().gauge("serve.connections").value_or(0.0);
+    };
+    // Each connection makes one stats call and closes; the next opens
+    // once the daemon has finished with it, so threads overlap no more
+    // than one at a time and glibc's per-thread malloc arenas (64 MB of
+    // address space each) stop growing after the warm-up.
+    auto open_and_close = [&](int connections) {
+        for (int i = 0; i < connections; ++i) {
+            {
+                serve::Client client;
+                ASSERT_TRUE(client.connect(options.socketPath, &error))
+                    << error;
+                std::string stats_line;
+                ASSERT_TRUE(client.stats(stats_line, &error)) << error;
+            }
+            while (live() > 0.0)
+                std::this_thread::yield();
+        }
+    };
+    open_and_close(50);
+    const double before_mb = vmSizeMb();
+    open_and_close(500);
+    EXPECT_LT(vmSizeMb() - before_mb, 64.0);
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    std::string metrics_json;
+    std::string exposition;
+    ASSERT_TRUE(client.metrics(metrics_json, exposition, &error)) << error;
+    EXPECT_NE(exposition.find("serve_connections"), std::string::npos);
+    EXPECT_LE(daemon.statsDump().gauge("serve.connections").value_or(2.0),
+              1.0);
 
     daemon.stop();
 }
