@@ -11,7 +11,9 @@ Checks the three schemas produced by the observability layer:
                 metric) and its manifest schedule echo are validated
                 together
   eip-suite/v1  suite roll-up (eipsim --workload all --stats-json)
-  eip-bench/v1  bench table dump (BENCH_<name>.json)
+  eip-bench/v1  figures view table dump (BENCH_<view id>.json); every
+                artifact must carry at least one table, every table at
+                least one row
   eip-trace/v1  event trace (eipsim --trace-out, Perfetto-loadable)
   eip-serve/v1  eipd wire documents (requests, responses incl. the
                 metrics window, stats dumps); artifacts embedded in
@@ -380,21 +382,38 @@ class Checker:
         self.require(doc, "bench", "sim_scale", (int, float))
         self.require(doc, "bench", "wall_clock_seconds", (int, float))
         self.require(doc, "bench", "jobs", (int,))
-        tables = self.require(doc, "bench", "tables", (list,)) or []
-        for i, table in enumerate(tables):
+        tables = self.require(doc, "bench", "tables", (list,))
+        if tables == []:
+            # A bench that printed tables but recorded none is a broken
+            # artifact writer, not an empty result.
+            self.error("bench", "tables list is empty")
+        for i, table in enumerate(tables or []):
             tw = f"tables[{i}]"
             if not isinstance(table, dict):
                 self.error(tw, "table is not an object")
                 continue
             self.require(table, tw, "title", (str,))
+            self.require(table, tw, "label", (str,))
             columns = self.require(table, tw, "columns", (list,)) or []
-            rows = self.require(table, tw, "rows", (list,)) or []
-            for j, row in enumerate(rows):
+            digits = self.require(table, tw, "digits", (list,)) or []
+            if len(digits) != len(columns) or not all(
+                    isinstance(d, int) and d >= 0 for d in digits):
+                self.error(tw, f"digits must be one non-negative int per "
+                               f"column ({len(columns)})")
+            rows = self.require(table, tw, "rows", (list,))
+            if rows == []:
+                self.error(tw, "table has no rows")
+            for j, row in enumerate(rows or []):
                 rw = f"{tw}.rows[{j}]"
                 if not isinstance(row, dict):
                     self.error(rw, "row is not an object")
                     continue
                 self.require(row, rw, "config", (str,))
+                override = row.get("digits")
+                if override is not None and not (
+                        isinstance(override, int) and override >= 0):
+                    self.error(rw, "digits override must be a "
+                                   "non-negative int")
                 values = self.require(row, rw, "values", (list,)) or []
                 if len(values) != len(columns):
                     self.error(rw, f"{len(values)} values for "

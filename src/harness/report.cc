@@ -1,28 +1,9 @@
 #include "harness/report.hh"
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
-
 #include "util/stats_math.hh"
+#include "util/table_printer.hh"
 
 namespace eip::harness {
-
-namespace {
-std::vector<ReportRecord> report_log;
-} // namespace
-
-const std::vector<ReportRecord> &
-reportLog()
-{
-    return report_log;
-}
-
-void
-clearReportLog()
-{
-    report_log.clear();
-}
 
 std::vector<double>
 collect(const std::vector<RunResult> &results, const Metric &metric)
@@ -34,12 +15,29 @@ collect(const std::vector<RunResult> &results, const Metric &metric)
     return out;
 }
 
-void
-printSortedSeries(const std::string &title,
-                  const std::vector<std::string> &config_names,
-                  const std::vector<std::vector<double>> &series)
+std::string
+renderTable(const ReportRecord &record)
 {
-    std::printf("%s\n", title.c_str());
+    TablePrinter table;
+    table.newRow();
+    table.cell(record.labelHeader);
+    for (const std::string &column : record.columns)
+        table.cell(column);
+    for (const ReportRow &row : record.rows) {
+        table.newRow();
+        table.cell(row.label);
+        for (size_t c = 0; c < row.values.size(); ++c)
+            table.cell(row.values[c],
+                       row.digits >= 0 ? row.digits : record.digits[c]);
+    }
+    return table.toString();
+}
+
+ReportRecord
+sortedSeries(const std::string &title,
+             const std::vector<std::string> &config_names,
+             const std::vector<std::vector<double>> &series)
+{
     static const std::pair<const char *, double> kPoints[] = {
         {"min", 0.0},  {"p10", 0.10}, {"p25", 0.25}, {"p50", 0.50},
         {"p75", 0.75}, {"p90", 0.90}, {"max", 1.0},
@@ -47,75 +45,17 @@ printSortedSeries(const std::string &title,
 
     ReportRecord record;
     record.title = title;
-    record.configs = config_names;
-
-    TablePrinter table;
-    table.newRow();
-    table.cell(std::string("config"));
-    for (const auto &[label, q] : kPoints) {
-        (void)q;
-        table.cell(std::string(label));
-        record.columns.push_back(label);
+    for (const auto &point : kPoints) {
+        record.columns.push_back(point.first);
+        record.digits.push_back(3);
     }
     for (size_t c = 0; c < config_names.size(); ++c) {
-        table.newRow();
-        table.cell(config_names[c]);
-        record.cells.emplace_back();
-        for (const auto &[label, q] : kPoints) {
-            (void)label;
-            double value = percentile(series[c], q);
-            table.cell(value, 3);
-            record.cells.back().push_back(value);
-        }
+        ReportRow row{config_names[c], {}};
+        for (const auto &point : kPoints)
+            row.values.push_back(percentile(series[c], point.second));
+        record.rows.push_back(std::move(row));
     }
-    table.print();
-    report_log.push_back(std::move(record));
-}
-
-void
-printPerCategory(const std::string &title,
-                 const std::vector<std::string> &config_names,
-                 const std::vector<std::vector<RunResult>> &results,
-                 const Metric &metric)
-{
-    std::printf("%s\n", title.c_str());
-
-    // Stable category order across all runs.
-    std::vector<std::string> categories;
-    for (const auto &r : results.front()) {
-        if (std::find(categories.begin(), categories.end(), r.category) ==
-            categories.end()) {
-            categories.push_back(r.category);
-        }
-    }
-
-    ReportRecord record;
-    record.title = title;
-    record.configs = config_names;
-    record.columns = categories;
-
-    TablePrinter table;
-    table.newRow();
-    table.cell(std::string("config"));
-    for (const auto &cat : categories)
-        table.cell(cat);
-    for (size_t c = 0; c < config_names.size(); ++c) {
-        table.newRow();
-        table.cell(config_names[c]);
-        record.cells.emplace_back();
-        for (const auto &cat : categories) {
-            std::vector<double> values;
-            for (const auto &r : results[c]) {
-                if (r.category == cat)
-                    values.push_back(metric(r));
-            }
-            double value = mean(values);
-            table.cell(value, 3);
-            record.cells.back().push_back(value);
-        }
-    }
-    table.print();
-    report_log.push_back(std::move(record));
+    return record;
 }
 
 } // namespace eip::harness

@@ -1,7 +1,8 @@
 /**
  * @file
- * Report helpers shared by the figure/table benches: sorted per-workload
- * series (the paper's s-curve figures) and percentile summaries.
+ * Report tables of the figures program (bench/figures.cc): the record a
+ * view returns for every table it prints, its fixed-width text form, and
+ * the sorted-series layout of the paper's s-curve figures.
  */
 
 #ifndef EIP_HARNESS_REPORT_HH
@@ -12,47 +13,51 @@
 #include <vector>
 
 #include "harness/runner.hh"
-#include "util/table_printer.hh"
 
 namespace eip::harness {
 
 /** Extracts the plotted metric from one run. */
 using Metric = std::function<double(const RunResult &)>;
 
-/** Structured copy of one printed report table: the title, one row per
- *  config, one column per percentile point or category. Kept in an
- *  in-process log (reportLog) so tests and artifact writers can read
- *  exactly what a bench printed without parsing stdout. */
+/** One labelled row of a report table. */
+struct ReportRow
+{
+    std::string label;
+    std::vector<double> values; ///< one per column
+    /** Digits for every cell of this row; -1 keeps the per-column
+     *  digits (Table IV prints its geomean row wider than its nJ rows). */
+    int digits = -1;
+};
+
+/** Structured form of one report table: what figures prints through
+ *  TablePrinter and writes, row for row, into the view's eip-bench/v1
+ *  artifact. */
 struct ReportRecord
 {
     std::string title;
-    std::vector<std::string> configs;
+    std::string labelHeader = "config"; ///< header of the row-label column
     std::vector<std::string> columns;
-    std::vector<std::vector<double>> cells; ///< [config][column]
+    std::vector<int> digits; ///< printed digits, one per column
+    std::vector<ReportRow> rows;
 };
 
-/** Every table printed since start-up (or the last clearReportLog). */
-const std::vector<ReportRecord> &reportLog();
-void clearReportLog();
+/** @p record as a TablePrinter table: the header row (label header and
+ *  columns), then one row per ReportRow. The title is not printed. */
+std::string renderTable(const ReportRecord &record);
 
 /**
- * Print one series per config, each individually sorted ascending — the
- * layout of the paper's Figures 7-10. Rows are percentiles of the sorted
- * series (min, p10, ..., max) so the curve shape is visible in text form.
+ * One series per config, each individually sorted ascending — the
+ * layout of the paper's Figures 7-10. Columns are percentiles of the
+ * sorted series (min, p10, ..., max) so the curve shape is visible in
+ * text form.
  */
-void printSortedSeries(const std::string &title,
-                       const std::vector<std::string> &config_names,
-                       const std::vector<std::vector<double>> &series);
+ReportRecord sortedSeries(const std::string &title,
+                          const std::vector<std::string> &config_names,
+                          const std::vector<std::vector<double>> &series);
 
 /** Convenience: collect @p metric over a result set. */
 std::vector<double> collect(const std::vector<RunResult> &results,
                             const Metric &metric);
-
-/** Per-category arithmetic mean of @p metric (Fig. 12-15 layout). */
-void printPerCategory(const std::string &title,
-                      const std::vector<std::string> &config_names,
-                      const std::vector<std::vector<RunResult>> &results,
-                      const Metric &metric);
 
 } // namespace eip::harness
 

@@ -297,7 +297,7 @@ TEST(CoverageSemantics, LatePrefetchesLeaveTheDenominator)
 }
 
 // ---------------------------------------------------------------------
-// Percentiles (linear interpolation) and the report log
+// Percentiles (linear interpolation) and the sorted-series record
 // ---------------------------------------------------------------------
 
 TEST(Percentile, LinearInterpolationOnShortSeries)
@@ -316,22 +316,21 @@ TEST(Percentile, LinearInterpolationOnShortSeries)
     EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
 }
 
-TEST(ReportLog, PrintSortedSeriesRecordsInterpolatedPercentiles)
+TEST(ReportRecord, SortedSeriesRecordsInterpolatedPercentiles)
 {
-    harness::clearReportLog();
-    harness::printSortedSeries("obs-test series", {"cfg"},
-                               {{5.0, 1.0, 3.0, 2.0, 4.0}});
-    ASSERT_EQ(harness::reportLog().size(), 1u);
-    const harness::ReportRecord &rec = harness::reportLog().back();
+    const harness::ReportRecord rec = harness::sortedSeries(
+        "obs-test series", {"cfg"}, {{5.0, 1.0, 3.0, 2.0, 4.0}});
     EXPECT_EQ(rec.title, "obs-test series");
     ASSERT_EQ(rec.columns.size(), 7u); // min p10 p25 p50 p75 p90 max
-    ASSERT_EQ(rec.cells.size(), 1u);
-    EXPECT_DOUBLE_EQ(rec.cells[0][0], 1.0); // min
-    EXPECT_DOUBLE_EQ(rec.cells[0][1], 1.4); // p10 interpolated
-    EXPECT_DOUBLE_EQ(rec.cells[0][3], 3.0); // p50
-    EXPECT_DOUBLE_EQ(rec.cells[0][5], 4.6); // p90 interpolated
-    EXPECT_DOUBLE_EQ(rec.cells[0][6], 5.0); // max
-    harness::clearReportLog();
+    ASSERT_EQ(rec.rows.size(), 1u);
+    EXPECT_EQ(rec.rows[0].label, "cfg");
+    const std::vector<double> &cells = rec.rows[0].values;
+    ASSERT_EQ(cells.size(), 7u);
+    EXPECT_DOUBLE_EQ(cells[0], 1.0); // min
+    EXPECT_DOUBLE_EQ(cells[1], 1.4); // p10 interpolated
+    EXPECT_DOUBLE_EQ(cells[3], 3.0); // p50
+    EXPECT_DOUBLE_EQ(cells[5], 4.6); // p90 interpolated
+    EXPECT_DOUBLE_EQ(cells[6], 5.0); // max
 }
 
 // ---------------------------------------------------------------------

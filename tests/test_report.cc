@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the report printers (sorted series, per-category tables) via
- * stdout capture, plus RunResult bookkeeping details.
+ * Tests for the report records (sorted series, text rendering) and
+ * RunResult bookkeeping details.
  */
 
 #include <gtest/gtest.h>
@@ -23,18 +23,17 @@ makeResult(const std::string &workload, const std::string &category,
     return r;
 }
 
-TEST(Report, SortedSeriesPrintsConfigsAndPercentiles)
+TEST(Report, SortedSeriesRendersConfigsAndPercentiles)
 {
     std::vector<std::string> names{"alpha", "beta"};
     std::vector<std::vector<double>> series{
         {1.0, 3.0, 2.0},
         {5.0, 4.0, 6.0},
     };
-    ::testing::internal::CaptureStdout();
-    printSortedSeries("demo title", names, series);
-    std::string out = ::testing::internal::GetCapturedStdout();
+    ReportRecord record = sortedSeries("demo title", names, series);
+    std::string out = renderTable(record);
 
-    EXPECT_NE(out.find("demo title"), std::string::npos);
+    EXPECT_EQ(record.title, "demo title");
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_NE(out.find("beta"), std::string::npos);
     // Percentile headers and min/max of each series.
@@ -44,39 +43,18 @@ TEST(Report, SortedSeriesPrintsConfigsAndPercentiles)
     EXPECT_NE(out.find("6.000"), std::string::npos);
 }
 
-TEST(Report, PerCategoryAveragesWithinCategories)
+TEST(Report, RenderUsesColumnDigitsUnlessTheRowOverrides)
 {
-    std::vector<std::string> names{"cfg"};
-    std::vector<std::vector<RunResult>> results{{
-        makeResult("a-1", "aa", 100), // ipc 1.0
-        makeResult("a-2", "aa", 300), // ipc 3.0
-        makeResult("b-1", "bb", 500), // ipc 5.0
-    }};
-    ::testing::internal::CaptureStdout();
-    printPerCategory("per-cat", names, results, [](const RunResult &r) {
-        return r.stats.ipc();
-    });
-    std::string out = ::testing::internal::GetCapturedStdout();
-
-    EXPECT_NE(out.find("aa"), std::string::npos);
-    EXPECT_NE(out.find("bb"), std::string::npos);
-    EXPECT_NE(out.find("2.000"), std::string::npos); // mean of aa
-    EXPECT_NE(out.find("5.000"), std::string::npos); // mean of bb
-}
-
-TEST(Report, CategoriesKeepFirstSeenOrder)
-{
-    std::vector<std::string> names{"cfg"};
-    std::vector<std::vector<RunResult>> results{{
-        makeResult("z", "zz", 100),
-        makeResult("a", "aa", 100),
-    }};
-    ::testing::internal::CaptureStdout();
-    printPerCategory("t", names, results, [](const RunResult &r) {
-        return r.stats.ipc();
-    });
-    std::string out = ::testing::internal::GetCapturedStdout();
-    EXPECT_LT(out.find("zz"), out.find("aa"));
+    ReportRecord record;
+    record.labelHeader = "metric";
+    record.columns = {"a", "b"};
+    record.digits = {1, 3};
+    record.rows.push_back({"plain", {1.5, 2.5}});
+    record.rows.push_back({"wide", {1.5, 2.5}, 4});
+    EXPECT_EQ(renderTable(record), "metric  a       b\n"
+                                   "----------------------\n"
+                                   "plain   1.5     2.500\n"
+                                   "wide    1.5000  2.5000\n");
 }
 
 TEST(Report, CollectPreservesOrder)
