@@ -32,9 +32,8 @@ CompressionScheme::maxModeFor(unsigned bits) const
 DestinationArray::DestinationArray(const CompressionScheme &scheme)
     : scheme_(scheme)
 {
-    EIP_ASSERT(scheme.maxDests >= 1 && scheme.maxDests <= 16,
+    EIP_ASSERT(scheme.maxDests >= 1 && scheme.maxDests <= kMaxDestinations,
                "compression scheme destination limit out of range");
-    dests.reserve(scheme.maxDests);
 }
 
 namespace {
@@ -55,15 +54,15 @@ DestinationArray::hasRoomFor(sim::Addr src_line, sim::Addr dst_line) const
     unsigned mode_cap = scheme_.maxModeFor(bits);
     if (mode_cap == 0)
         return false; // not encodable at all (too far from the source)
-    for (const auto &d : dests) {
+    for (const auto &d : all()) {
         if (d.line == dst_line)
             return true; // refresh, no growth
     }
     // The shared mode after insertion is the most restrictive requirement
     // across all destinations; it is also the slot capacity.
-    for (const auto &d : dests)
+    for (const auto &d : all())
         mode_cap = std::min(mode_cap, scheme_.maxModeFor(d.bitsNeeded));
-    return dests.size() + 1 <= mode_cap;
+    return size() + 1 <= mode_cap;
 }
 
 bool
@@ -81,22 +80,22 @@ DestinationArray::insert(sim::Addr src_line, sim::Addr dst_line,
     }
 
     if (!hasRoomFor(src_line, dst_line)) {
-        if (!evict_on_full || dests.empty())
+        if (!evict_on_full || empty())
             return false;
         // Replace the lowest-confidence destination (paper §III-B1).
         auto victim = std::min_element(
-            dests.begin(), dests.end(),
+            dests.begin(), dests.begin() + count,
             [](const Destination &a, const Destination &b) {
                 return a.confidence.value() < b.confidence.value();
             });
-        dests.erase(victim);
+        std::move(victim + 1, dests.begin() + count, victim);
+        --count;
         recomputeMode();
         if (!hasRoomFor(src_line, dst_line)) {
             // Still impossible (the new destination alone demands a wide
             // mode that cannot cover the survivors): keep shrinking.
-            while (!dests.empty() &&
-                   !hasRoomFor(src_line, dst_line)) {
-                dests.pop_back();
+            while (!empty() && !hasRoomFor(src_line, dst_line)) {
+                --count;
                 recomputeMode();
             }
             if (!hasRoomFor(src_line, dst_line))
@@ -109,7 +108,7 @@ DestinationArray::insert(sim::Addr src_line, sim::Addr dst_line,
     d.bitsNeeded = bits;
     d.confidence = SaturatingCounter(scheme_.confBits);
     d.confidence.set(d.confidence.max());
-    dests.push_back(d);
+    dests[count++] = d;
     recomputeMode();
     return true;
 }
@@ -117,9 +116,9 @@ DestinationArray::insert(sim::Addr src_line, sim::Addr dst_line,
 Destination *
 DestinationArray::find(sim::Addr dst_line)
 {
-    for (auto &d : dests) {
-        if (d.line == dst_line)
-            return &d;
+    for (uint8_t i = 0; i < count; ++i) {
+        if (dests[i].line == dst_line)
+            return &dests[i];
     }
     return nullptr;
 }
@@ -127,12 +126,13 @@ DestinationArray::find(sim::Addr dst_line)
 void
 DestinationArray::dropDeadDestinations()
 {
-    auto dead = std::remove_if(dests.begin(), dests.end(),
-                               [](const Destination &d) {
-                                   return d.confidence.zero();
-                               });
-    if (dead != dests.end()) {
-        dests.erase(dead, dests.end());
+    auto live_end = std::remove_if(dests.begin(), dests.begin() + count,
+                                   [](const Destination &d) {
+                                       return d.confidence.zero();
+                                   });
+    auto live = static_cast<uint8_t>(live_end - dests.begin());
+    if (live != count) {
+        count = live;
         recomputeMode();
     }
 }
@@ -140,23 +140,23 @@ DestinationArray::dropDeadDestinations()
 void
 DestinationArray::clear()
 {
-    dests.clear();
+    count = 0;
     mode_ = 0;
 }
 
 void
 DestinationArray::recomputeMode()
 {
-    if (dests.empty()) {
+    if (empty()) {
         mode_ = 0;
         return;
     }
     unsigned cap = scheme_.maxDests;
-    for (const auto &d : dests)
+    for (const auto &d : all())
         cap = std::min(cap, scheme_.maxModeFor(d.bitsNeeded));
-    EIP_ASSERT(dests.size() <= cap,
+    EIP_ASSERT(size() <= cap,
                "destination array in an unrepresentable state");
-    mode_ = cap;
+    mode_ = static_cast<uint8_t>(cap);
 }
 
 } // namespace eip::core

@@ -19,8 +19,9 @@
 #ifndef EIP_CORE_DEST_COMPRESSION_HH
 #define EIP_CORE_DEST_COMPRESSION_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/types.hh"
 #include "util/saturating_counter.hh"
@@ -62,9 +63,12 @@ struct CompressionScheme
 struct Destination
 {
     sim::Addr line = 0;     ///< full reconstructed line address
-    unsigned bitsNeeded = 0; ///< address bits required relative to the src
+    uint32_t bitsNeeded = 0; ///< address bits required relative to the src
     SaturatingCounter confidence;
 };
+
+/** Most destinations any scheme packs into one entry (Table I's mode 6). */
+inline constexpr unsigned kMaxDestinations = 6;
 
 /**
  * A destination array constrained by a CompressionScheme. The array tracks
@@ -72,7 +76,8 @@ struct Destination
  * than the current mode provides forces a larger mode (fewer slots), which
  * may require evicting low-confidence destinations. Removing destinations
  * recomputes the mode (paper: "upon the eviction of a dst-entangled we
- * re-compute the mode").
+ * re-compute the mode"). The destinations are stored inline, like the
+ * entry's fixed payload in hardware.
  */
 class DestinationArray
 {
@@ -101,9 +106,9 @@ class DestinationArray
     /** Remove all destinations. */
     void clear();
 
-    const std::vector<Destination> &all() const { return dests; }
-    size_t size() const { return dests.size(); }
-    bool empty() const { return dests.empty(); }
+    std::span<const Destination> all() const { return {dests.data(), count}; }
+    size_t size() const { return count; }
+    bool empty() const { return count == 0; }
     unsigned mode() const { return mode_; }
     const CompressionScheme &scheme() const { return scheme_; }
 
@@ -119,8 +124,9 @@ class DestinationArray
     void recomputeMode();
 
     CompressionScheme scheme_;
-    std::vector<Destination> dests;
-    unsigned mode_ = 0; ///< 0 = empty array
+    std::array<Destination, kMaxDestinations> dests;
+    uint8_t count = 0;
+    uint8_t mode_ = 0; ///< 0 = empty array
 };
 
 } // namespace eip::core

@@ -35,6 +35,7 @@ EntangledTable::EntangledTable(uint32_t entries, uint32_t ways,
     EIP_ASSERT(isPowerOf2(numSets), "set count must be a power of two");
     table.assign(static_cast<size_t>(numSets) * numWays,
                  EntangledEntry(scheme));
+    tags_.assign(table.size(), kNoTag);
 }
 
 uint32_t
@@ -64,15 +65,16 @@ EntangledTable::find(sim::Addr line)
 {
     size_t base = static_cast<size_t>(indexOf(line)) * numWays;
     uint16_t tag = tagOf(line);
+    const uint16_t *tags = &tags_[base];
     for (uint32_t w = 0; w < numWays; ++w) {
-        EntangledEntry &e = table[base + w];
         // Tag-only match: the hardware stores just the 10-bit partial tag
         // (storageBits() charges exactly that), so lines aliasing to the
         // same (set, tag) share one entry and this can be a false
         // positive — intended, see tagOf(). Insertion always goes
-        // through find() first, so (set, tag) stays unique.
-        if (e.valid && e.tag == tag)
-            return &e;
+        // through find() first, so (set, tag) stays unique. Invalid
+        // ways hold kNoTag, which no partial tag equals.
+        if (tags[w] == tag)
+            return &table[base + w];
     }
     return nullptr;
 }
@@ -84,10 +86,9 @@ EntangledTable::insert(sim::Addr line)
 
     // Prefer an invalid way.
     for (uint32_t w = 0; w < numWays; ++w) {
-        EntangledEntry &e = table[base + w];
-        if (!e.valid) {
-            e.valid = true;
-            e.tag = tagOf(line);
+        if (tags_[base + w] == kNoTag) {
+            EntangledEntry &e = table[base + w];
+            tags_[base + w] = tagOf(line);
             e.line = line;
             e.bbSize = 0;
             e.dests.clear();
@@ -117,6 +118,7 @@ EntangledTable::insert(sim::Addr line)
                 // newest — a relocation is a re-insertion, not a
                 // continuation of the victim's residency.
                 spare = *victim;
+                tags_[base + w] = tags_[victim - table.data()];
                 spare.fifoOrder = ++fifoClock;
                 ++stats_.relocations;
                 ++stats_.relocationEvictions;
@@ -137,8 +139,7 @@ EntangledTable::insert(sim::Addr line)
             }
         }
     }
-    victim->valid = true;
-    victim->tag = tagOf(line);
+    tags_[victim - table.data()] = tagOf(line);
     victim->line = line;
     victim->bbSize = 0;
     victim->dests.clear();
@@ -222,12 +223,13 @@ EntangledTable::registerInvariants(check::Invariants &inv,
         size_t base = static_cast<size_t>(set) * numWays;
         for (uint32_t w = 0; w < numWays; ++w) {
             const EntangledEntry &e = table[base + w];
-            if (!e.valid)
+            uint16_t tag = tags_[base + w];
+            if (tag == kNoTag)
                 continue;
-            if (e.tag != tagOf(e.line)) {
+            if (tag != tagOf(e.line)) {
                 detail = "set " + std::to_string(set) + " way " +
                          std::to_string(w) + ": tag " +
-                         std::to_string(e.tag) + " != tagOf(line)=" +
+                         std::to_string(tag) + " != tagOf(line)=" +
                          std::to_string(tagOf(e.line));
                 return false;
             }
@@ -247,11 +249,11 @@ EntangledTable::registerInvariants(check::Invariants &inv,
             }
             for (uint32_t v = w + 1; v < numWays; ++v) {
                 const EntangledEntry &other = table[base + v];
-                if (!other.valid)
+                if (tags_[base + v] == kNoTag)
                     continue;
-                if (other.tag == e.tag) {
+                if (tags_[base + v] == tag) {
                     detail = "set " + std::to_string(set) +
-                             ": duplicate tag " + std::to_string(e.tag) +
+                             ": duplicate tag " + std::to_string(tag) +
                              " in ways " + std::to_string(w) + "/" +
                              std::to_string(v);
                     return false;
@@ -287,8 +289,8 @@ EntangledTable::registerInvariants(check::Invariants &inv,
         prefix + ".occupancy_accounting",
         [this](std::string &detail) {
             uint64_t valid = 0;
-            for (const EntangledEntry &e : table)
-                valid += e.valid ? 1 : 0;
+            for (uint16_t tag : tags_)
+                valid += tag != kNoTag ? 1 : 0;
             uint64_t expected = stats_.inserts - stats_.evictions -
                                 stats_.relocationEvictions;
             if (valid == expected)

@@ -65,11 +65,10 @@ class GhostPairSet
     std::unordered_set<sim::Addr> set_;
 };
 
-/** One source entry of the Entangled table. */
+/** One source entry of the Entangled table. Its valid bit and 10-bit
+ *  partial tag live in the table's packed per-set tag array. */
 struct EntangledEntry
 {
-    bool valid = false;
-    uint16_t tag = 0;      ///< 10-bit partial (truncated) line tag
     sim::Addr line = 0;    ///< full line address (model-level convenience;
                            ///< the hardware reconstructs it from context)
     uint8_t bbSize = 0;    ///< following consecutive lines (max observed)
@@ -107,7 +106,8 @@ struct EntangledTableStats
  * return a false-positive match, as the hardware proposal accepts
  * (storageBits() charges the 10-bit tag accordingly). The full line
  * address kept per entry is model-level diagnostics for the invariant
- * auditor, never consulted by find().
+ * auditor, never consulted by find(). The tags are packed per set, apart
+ * from the entries, so find() scans one host cache line per set.
  */
 class EntangledTable
 {
@@ -152,6 +152,18 @@ class EntangledTable
      *  stored in PQ/MSHR/L1I. */
     std::pair<uint32_t, uint32_t> coordsOf(const EntangledEntry &entry) const;
     EntangledEntry &entryAt(uint32_t set, uint32_t way);
+    /** Stored partial tag of (set, way); kNoTag when the way is invalid.
+     *  The mutable overload exists for white-box corruption tests. */
+    uint16_t tagAt(uint32_t set, uint32_t way) const
+    {
+        return tags_[static_cast<size_t>(set) * numWays + way];
+    }
+    uint16_t &tagAt(uint32_t set, uint32_t way)
+    {
+        return tags_[static_cast<size_t>(set) * numWays + way];
+    }
+    /** Tag of an invalid way; no 10-bit partial tag reaches it. */
+    static constexpr uint16_t kNoTag = 0xFFFF;
 
     /** Total storage in bits: per-entry tag, bb size, destination payload
      *  and mode, plus per-set FIFO counters. */
@@ -190,9 +202,9 @@ class EntangledTable
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &e : table) {
-            if (e.valid)
-                fn(e);
+        for (size_t i = 0; i < table.size(); ++i) {
+            if (tags_[i] != kNoTag)
+                fn(table[i]);
         }
     }
 
@@ -207,6 +219,9 @@ class EntangledTable
     unsigned setBits;
     CompressionScheme scheme_;
     std::vector<EntangledEntry> table; ///< set-major
+    /** Partial tag of each way, parallel to `table` (kNoTag when
+     *  invalid): the only record of validity and tags. */
+    std::vector<uint16_t> tags_;
     uint64_t fifoClock = 0;
     uint32_t auditSet_ = 0; ///< rotating cursor of the set audit
     EntangledTableStats stats_;

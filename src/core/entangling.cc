@@ -22,7 +22,24 @@ constexpr unsigned kMshrTimeBits = 12;
 constexpr unsigned kHistPtrBits = 4;
 constexpr unsigned kWayBits = 4; ///< 16-way Entangled table
 
+/** Model-level cap on the attribution shadow: past it the whole map is
+ *  dropped, which only forgets confidence feedback. */
+constexpr size_t kMaxAttributions = 100000;
+
 } // namespace
+
+void
+EntanglingPrefetcher::PendingMiss::addSource(const Source &src)
+{
+    if (numSources < kInlineSources) {
+        inlineSources[numSources++] = src;
+        return;
+    }
+    if (spilled.empty())
+        spilled.assign(inlineSources.begin(), inlineSources.end());
+    spilled.push_back(src);
+    ++numSources;
+}
 
 EntanglingConfig
 EntanglingConfig::preset2K(bool physical)
@@ -238,25 +255,16 @@ EntanglingPrefetcher::registerInvariants(check::Invariants &inv)
         return true;
     });
 
-    // The shadow maps stand in for fixed-size hardware fields (PQ, MSHR,
-    // L1I extensions); their pruning bound must hold or the model is
-    // leaking state the hardware could not keep.
+    // Pending misses stand in for the MSHR timing extension: each one
+    // belongs to a demand-touched MSHR of the owner and leaves with its
+    // fill, so there can never be more than the owner has MSHRs. More
+    // means the model is leaking misses the hardware could not hold.
     inv.add("entangling.shadow_bounds", [this](std::string &detail) {
-        if (pendingMisses.size() > 100000) {
-            detail = "pending_misses=" +
-                     std::to_string(pendingMisses.size());
-            return false;
-        }
-        if (prefetchIssueTime.size() > 100000) {
-            detail = "prefetch_issue_time=" +
-                     std::to_string(prefetchIssueTime.size());
-            return false;
-        }
-        if (attribution.size() > 100000) {
-            detail = "attribution=" + std::to_string(attribution.size());
-            return false;
-        }
-        return true;
+        if (owner == nullptr || pendingMisses.size() <= owner->mshrCount())
+            return true;
+        detail = "pending_misses=" + std::to_string(pendingMisses.size()) +
+                 " > mshrs=" + std::to_string(owner->mshrCount());
+        return false;
     });
 }
 
@@ -270,17 +278,13 @@ EntanglingPrefetcher::blame(sim::Addr line, sim::Addr pc)
 }
 
 void
-EntanglingPrefetcher::issue(sim::Addr line, const EntangledEntry *src,
-                            sim::Addr dst_head)
+EntanglingPrefetcher::issue(sim::Addr line, const SrcAttribution *pair)
 {
     EIP_ASSERT(owner != nullptr, "prefetcher not attached to a cache");
     bool accepted = owner->enqueuePrefetch(line);
-    if (accepted && src != nullptr) {
-        auto [set, way] = table_.coordsOf(*src);
-        attribution[line] = SrcAttribution{
-            set, way, src->tag, dst_head != 0 ? dst_head : line};
-        // Shadow-state bound (hardware stores this in PQ/L1I fields).
-        if (attribution.size() > 100000)
+    if (accepted && pair != nullptr) {
+        attribution[line] = *pair;
+        if (attribution.size() > kMaxAttributions)
             attribution.clear();
     }
 }
@@ -288,13 +292,13 @@ EntanglingPrefetcher::issue(sim::Addr line, const EntangledEntry *src,
 void
 EntanglingPrefetcher::updateConfidence(sim::Addr line, bool good)
 {
-    auto it = attribution.find(line);
-    if (it == attribution.end())
+    const SrcAttribution *attr = attribution.find(line);
+    if (attr == nullptr)
         return;
-    EntangledEntry &entry = table_.entryAt(it->second.set, it->second.way);
-    if (entry.valid && entry.tag == it->second.srcTag) {
-        if (Destination *dst = entry.dests.find(it->second.dstLine)) {
-            bool is_head = line == it->second.dstLine;
+    EntangledEntry &entry = table_.entryAt(attr->set, attr->way);
+    if (table_.tagAt(attr->set, attr->way) == attr->srcTag) {
+        if (Destination *dst = entry.dests.find(attr->dstLine)) {
+            bool is_head = line == attr->dstLine;
             if (good) {
                 dst->confidence.increment();
             } else if (is_head || dst->confidence.value() > 1) {
@@ -314,7 +318,7 @@ EntanglingPrefetcher::updateConfidence(sim::Addr line, bool good)
             }
         }
     }
-    attribution.erase(it);
+    attribution.erase(line);
 }
 
 void
@@ -366,10 +370,8 @@ EntanglingPrefetcher::finishBasicBlock()
 }
 
 void
-EntanglingPrefetcher::trackBasicBlock(sim::Addr line, sim::Cycle now,
-                                      bool is_miss)
+EntanglingPrefetcher::trackBasicBlock(sim::Addr line, sim::Cycle now)
 {
-    (void)is_miss;
     if (!tracksBasicBlocks()) {
         // "Ent" ablation: every accessed line goes straight to history.
         bbHead = line;
@@ -402,9 +404,8 @@ EntanglingPrefetcher::trackBasicBlock(sim::Addr line, sim::Cycle now,
 }
 
 void
-EntanglingPrefetcher::triggerPrefetches(sim::Addr line, sim::Cycle now)
+EntanglingPrefetcher::triggerPrefetches(sim::Addr line)
 {
-    (void)now;
     EntangledEntry *entry = table_.find(line);
     unsigned own_size = cfg.splitBbEntries != 0
         ? bbTable.lookup(line)
@@ -425,20 +426,24 @@ EntanglingPrefetcher::triggerPrefetches(sim::Addr line, sim::Cycle now)
     // (2) Prefetch each confident destination (and its basic block).
     if (!entangles() || entry == nullptr)
         return;
+    // Issuing never re-tags or moves this entry (only demand fills train
+    // the table), so its src pointer holds for the whole loop.
+    auto [set, way] = table_.coordsOf(*entry);
+    const uint16_t tag = table_.tagAt(set, way);
+    // Snapshot the live destinations first: in warming mode a prefetch
+    // installs at once, and the eviction it causes can demote and drop
+    // destinations of this very entry through updateConfidence().
+    std::array<sim::Addr, kMaxDestinations> dst_lines;
     size_t found = 0;
-    // Snapshot: issuing prefetches cannot invalidate this entry, but keep
-    // the loop simple and bounded.
-    const auto &dests = entry->dests.all();
-    std::vector<sim::Addr> dst_lines;
-    dst_lines.reserve(dests.size());
-    for (const auto &dst : dests) {
+    for (const auto &dst : entry->dests.all()) {
         if (dst.confidence.zero())
             continue; // invalid pair (paper §III-B1)
-        dst_lines.push_back(dst.line);
+        dst_lines[found++] = dst.line;
     }
-    for (sim::Addr dst_line : dst_lines) {
-        ++found;
-        issue(dst_line, entry);
+    for (size_t d = 0; d < found; ++d) {
+        sim::Addr dst_line = dst_lines[d];
+        const SrcAttribution pair{set, way, tag, dst_line};
+        issue(dst_line, &pair);
         if (prefetchesDstBlock()) {
             ++stats_.extraSearches;
             uint32_t dst_bb = bbSizeOf(dst_line);
@@ -447,7 +452,7 @@ EntanglingPrefetcher::triggerPrefetches(sim::Addr line, sim::Cycle now)
             // updateConfidence) — without this the destination-block
             // spray has no feedback loop at all.
             for (uint32_t i = 1; i <= dst_bb; ++i)
-                issue(dst_line + i, entry, dst_line);
+                issue(dst_line + i, &pair);
             stats_.dstBbSize.record(dst_bb);
         }
     }
@@ -475,51 +480,41 @@ EntanglingPrefetcher::onCacheOperate(const sim::CacheOperateInfo &info)
         updateConfidence(line, /*good=*/false);
     }
 
-    trackBasicBlock(line, now, !info.hit);
+    trackBasicBlock(line, now);
 
-    if (!info.hit) {
-        PendingMiss pm;
+    // Only a miss whose fill will retire a demand-touched MSHR can be
+    // learned from; a wrong-path miss that found no MSHR, or that merged
+    // into an untouched prefetch, would never be consumed.
+    if (!info.hit && info.holdsMshr) {
+        PendingMiss &pm = pendingMisses[line];
         pm.demandCycle = now;
-        pm.startCycle = now;
-        if (info.missLatePrefetch) {
-            auto it = prefetchIssueTime.find(line);
-            if (it != prefetchIssueTime.end())
-                pm.startCycle = it->second; // the PQ timestamp (§III-A2)
-        }
+        // A late prefetch's latency runs from its PQ timestamp (§III-A2),
+        // which the MSHR it merged into carries.
+        pm.startCycle = info.missLatePrefetch ? info.prefetchIssueCycle : now;
+        pm.isHead = false;
+        pm.numSources = 0;
+        pm.spilled.clear();
         if (line == bbHead && bbInHistory &&
             history.isCurrent(bbHistorySlot, bbHistoryGeneration)) {
             pm.isHead = true;
             // Snapshot the candidate sources: every head older than this
             // miss, newest first (the hardware's History pointer walk).
-            pm.sources.reserve(history.capacity() - 1);
             history.walkBackwards(
                 bbHistorySlot, history.capacity(),
                 [&](HistoryEntry &e) {
-                    pm.sources.emplace_back(e.line, e.recordedAt);
+                    pm.addSource(Source{e.line, e.recordedAt});
                     return false; // keep walking: collect them all
                 });
         }
-        pendingMisses[line] = pm;
-        if (pendingMisses.size() > 100000)
-            pendingMisses.clear(); // shadow-state bound
     }
 
-    triggerPrefetches(line, now);
-}
-
-void
-EntanglingPrefetcher::onPrefetchIssued(sim::Addr line, sim::Cycle cycle)
-{
-    prefetchIssueTime[line] = cycle;
-    if (prefetchIssueTime.size() > 100000)
-        prefetchIssueTime.clear(); // shadow-state bound
+    triggerPrefetches(line);
 }
 
 void
 EntanglingPrefetcher::onCacheFill(const sim::CacheFillInfo &info)
 {
     const sim::Addr line = info.line;
-    prefetchIssueTime.erase(line);
 
     // Wrong/early prefetch: an unused prefetched line leaves the cache.
     if (info.evictedUnusedPrefetch) {
@@ -527,19 +522,21 @@ EntanglingPrefetcher::onCacheFill(const sim::CacheFillInfo &info)
         updateConfidence(info.evictedLine, /*good=*/false);
     }
 
-    if (!info.demandHappened) {
-        // Clean prefetch fill: nothing to learn yet.
+    PendingMiss *found = pendingMisses.find(line);
+    if (found == nullptr)
         return;
-    }
+    PendingMiss pm = std::move(*found);
+    pendingMisses.erase(line);
 
-    auto it = pendingMisses.find(line);
-    if (it == pendingMisses.end())
+    // A fill no demand touched retires its MSHR without a miss to learn
+    // from. Only a warming-mode miss whose own prefetch hook installed
+    // the line gets here; any later miss on the line records afresh.
+    if (!info.demandHappened)
         return;
-    PendingMiss pm = it->second;
-    pendingMisses.erase(it);
 
-    if (!entangles() || !pm.isHead || pm.sources.empty())
+    if (!entangles() || !pm.isHead || pm.numSources == 0)
         return;
+    const Source *sources = pm.sources();
 
     // Latency of this fetch; the source must have executed at least this
     // many cycles before the demand miss for a prefetch to be timely.
@@ -548,15 +545,15 @@ EntanglingPrefetcher::onCacheFill(const sim::CacheFillInfo &info)
     // Walk the snapshot (newest source first) for the first head that ran
     // at least `latency` cycles before the miss; fall back to the oldest
     // head remembered.
-    size_t first_idx = pm.sources.size() - 1;
-    for (size_t i = 0; i < pm.sources.size(); ++i) {
-        if (history.checkedAge(pm.sources[i].second, pm.demandCycle) >=
+    size_t first_idx = pm.numSources - 1;
+    for (size_t i = 0; i < pm.numSources; ++i) {
+        if (history.checkedAge(sources[i].recordedAt, pm.demandCycle) >=
             latency) {
             first_idx = i;
             break;
         }
     }
-    sim::Addr first_line = pm.sources[first_idx].first;
+    sim::Addr first_line = sources[first_idx].line;
     if (first_line == line)
         return;
 
@@ -571,8 +568,8 @@ EntanglingPrefetcher::onCacheFill(const sim::CacheFillInfo &info)
 
     // First source is full: try one source further back (§III-B3), else
     // evict the first source's weakest destination.
-    if (first_idx + 1 < pm.sources.size()) {
-        sim::Addr second_line = pm.sources[first_idx + 1].first;
+    if (first_idx + 1 < pm.numSources) {
+        sim::Addr second_line = sources[first_idx + 1].line;
         if (second_line != line &&
             table_.hasRoomFor(second_line, line)) {
             if (table_.addPair(second_line, line,

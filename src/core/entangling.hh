@@ -13,14 +13,16 @@
 #ifndef EIP_CORE_ENTANGLING_HH
 #define EIP_CORE_ENTANGLING_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/bb_size_table.hh"
 #include "core/entangled_table.hh"
 #include "core/history_buffer.hh"
 #include "sim/prefetcher_api.hh"
+#include "util/flat_map.hh"
 #include "util/histogram.hh"
 
 namespace eip::core {
@@ -103,7 +105,9 @@ struct EntanglingStats
 /**
  * The prefetcher. Implements the sim::Prefetcher hook interface; all state
  * beyond the documented hardware structures is shadow bookkeeping the real
- * hardware keeps in the PQ/MSHR/L1I extension fields (§III-C3).
+ * hardware keeps in the PQ/MSHR/L1I extension fields (§III-C3). The PQ
+ * timestamp of a late prefetch is the owning cache's MSHR issue cycle,
+ * handed over in CacheOperateInfo.
  */
 class EntanglingPrefetcher : public sim::Prefetcher
 {
@@ -123,7 +127,6 @@ class EntanglingPrefetcher : public sim::Prefetcher
 
     void onCacheOperate(const sim::CacheOperateInfo &info) override;
     void onCacheFill(const sim::CacheFillInfo &info) override;
-    void onPrefetchIssued(sim::Addr line, sim::Cycle cycle) override;
 
     /** Arms the Entangled table's ghost-pair set (DESIGN.md §3.11). */
     void enableBlame() override { table_.enableGhost(); }
@@ -138,6 +141,20 @@ class EntanglingPrefetcher : public sim::Prefetcher
     const EntanglingConfig &config() const { return cfg; }
 
   private:
+    /** A candidate source: (line, unwrapped record cycle) of a history
+     *  head. The record cycle feeds HistoryBuffer::checkedAge(), which
+     *  saturates instead of aliasing when a source is more than a full
+     *  wrapped-clock period older than the miss. */
+    struct Source
+    {
+        sim::Addr line = 0;
+        sim::Cycle recordedAt = 0;
+    };
+
+    /** Sources held inline: a 16-entry History buffer yields at most 15.
+     *  Larger buffers (EPI's 1024 entries) spill to the heap. */
+    static constexpr size_t kInlineSources = 16;
+
     /** Shadow of the MSHR timing extension: one in-flight miss. The
      *  candidate sources (history entries older than the miss) are
      *  snapshotted at miss time: the hardware's History-buffer pointer
@@ -149,11 +166,17 @@ class EntanglingPrefetcher : public sim::Prefetcher
         sim::Cycle demandCycle = 0;
         sim::Cycle startCycle = 0;   ///< prefetch issue time for late pf
         bool isHead = false;         ///< miss is on a basic-block head
-        /** (line, unwrapped record cycle) of older heads, newest first.
-         *  The record cycle feeds HistoryBuffer::checkedAge(), which
-         *  saturates instead of aliasing when a source is more than a
-         *  full wrapped-clock period older than the miss. */
-        std::vector<std::pair<sim::Addr, sim::Cycle>> sources;
+        /** Older heads, newest first: the first numSources of
+         *  inlineSources, or all of spilled once that is non-empty. */
+        uint32_t numSources = 0;
+        std::array<Source, kInlineSources> inlineSources;
+        std::vector<Source> spilled;
+
+        void addSource(const Source &src);
+        const Source *sources() const
+        {
+            return spilled.empty() ? inlineSources.data() : spilled.data();
+        }
     };
 
     /** Shadow of the PQ/L1I src-entangled extension: which pair caused a
@@ -174,18 +197,16 @@ class EntanglingPrefetcher : public sim::Prefetcher
     bool prefetchesDstBlock() const;
     bool merges() const;
 
-    /** Advance the basic-block detector with the accessed line. */
-    void trackBasicBlock(sim::Addr line, sim::Cycle now, bool is_miss);
+    /** Advance the basic-block detector with the line accessed at
+     *  @p now. */
+    void trackBasicBlock(sim::Addr line, sim::Cycle now);
     /** The current basic block ended: record/merge it. */
     void finishBasicBlock();
     /** Look up @p line and trigger the prefetches on a hit. */
-    void triggerPrefetches(sim::Addr line, sim::Cycle now);
-    /** Issue one prefetch and remember its source attribution. */
-    /** Request a prefetch of @p line. When @p src is set the prefetch is
-     *  charged to the pair (src, dst_head) for confidence feedback;
-     *  dst_head defaults to the line itself (the destination head). */
-    void issue(sim::Addr line, const EntangledEntry *src,
-               sim::Addr dst_head = 0);
+    void triggerPrefetches(sim::Addr line);
+    /** Request a prefetch of @p line. When @p pair is set the prefetch
+     *  is charged to that pair for confidence feedback. */
+    void issue(sim::Addr line, const SrcAttribution *pair);
     /** Adjust the confidence of the pair that prefetched @p line. */
     void updateConfidence(sim::Addr line, bool good);
 
@@ -212,11 +233,16 @@ class EntanglingPrefetcher : public sim::Prefetcher
     uint64_t bbHistoryGeneration = 0;
     bool bbInHistory = false;
 
-    // Shadow hardware extensions (bounded by MSHR/PQ/L1I sizes in HW;
-    // pruned on fill/evict here).
-    std::unordered_map<sim::Addr, PendingMiss> pendingMisses;
-    std::unordered_map<sim::Addr, sim::Cycle> prefetchIssueTime;
-    std::unordered_map<sim::Addr, SrcAttribution> attribution;
+    // Shadow hardware extensions, keyed by line.
+    /** One entry per miss holding a demand-touched MSHR of the owner:
+     *  recorded at the miss, consumed by the fill that retires the MSHR,
+     *  so it never outgrows the MSHR count (audited). */
+    util::FlatMap<PendingMiss> pendingMisses;
+    /** The src-entangled field of a prefetched line. Kept by line, not
+     *  by PQ slot: a PQ entry dropped as a duplicate of a resident line
+     *  keeps its attribution, and a later timely hit on that line
+     *  consumes it. Cleared wholesale past kMaxAttributions. */
+    util::FlatMap<SrcAttribution> attribution;
 };
 
 } // namespace eip::core

@@ -32,61 +32,55 @@ Cache::Cache(const CacheConfig &config)
     EIP_ASSERT(cfg.ways >= 1, "cache needs at least one way");
     lines.resize(static_cast<size_t>(numSets) * cfg.ways);
     tags_.assign(lines.size(), kNoTag);
+    stamps_.assign(lines.size(), 0);
     uint32_t mshr_count = cfg.mshrEntries == 0 ? 4096 : cfg.mshrEntries;
     mshrs.resize(mshr_count);
+    mshrLines_.assign(mshr_count, 0);
+    mshrBusy_.assign((mshr_count + 63) / 64, 0);
     drainScratch_.reserve(mshr_count);
 }
 
-Cache::Line *
-Cache::findLine(Addr line)
+size_t
+Cache::findWay(Addr line) const
 {
     size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
     const Addr *tags = &tags_[base];
     for (uint32_t w = 0; w < cfg.ways; ++w) {
         if (tags[w] == line)
-            return &lines[base + w];
+            return base + w;
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr line) const
-{
-    size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
-    const Addr *tags = &tags_[base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        if (tags[w] == line)
-            return &lines[base + w];
-    }
-    return nullptr;
+    return kNoWay;
 }
 
 Cache::Mshr *
 Cache::findMshr(Addr line)
 {
-    // Early-exit once every live entry has been seen: allocMshr hands out
-    // the lowest free slot, so live entries cluster at the low indices and
-    // the scan rarely walks the whole file (inflightFills_ is kept exact —
-    // see the mshr_accounting invariant).
-    uint64_t remaining = inflightFills_;
-    for (auto &m : mshrs) {
-        if (remaining == 0)
-            break;
-        if (!m.valid)
-            continue;
-        if (m.line == line)
-            return &m;
-        --remaining;
+    for (size_t w = 0; w < mshrBusy_.size(); ++w) {
+        for (uint64_t bits = mshrBusy_[w]; bits != 0; bits &= bits - 1) {
+            size_t i = w * 64 + std::countr_zero(bits);
+            if (mshrLines_[i] == line)
+                return &mshrs[i];
+        }
     }
     return nullptr;
 }
 
 Cache::Mshr *
-Cache::allocMshr()
+Cache::allocMshr(Addr line, Cycle now)
 {
-    for (auto &m : mshrs) {
-        if (!m.valid)
-            return &m;
+    for (size_t w = 0; w < mshrBusy_.size(); ++w) {
+        uint64_t free_bits = ~mshrBusy_[w];
+        if (free_bits == 0)
+            continue;
+        size_t i = w * 64 + std::countr_zero(free_bits);
+        if (i >= mshrs.size())
+            return nullptr; // only the last word has bits past the end
+        mshrBusy_[w] |= uint64_t{1} << (i % 64);
+        ++inflightFills_;
+        mshrLines_[i] = line;
+        mshrs[i] = Mshr{};
+        mshrs[i].issued = now;
+        return &mshrs[i];
     }
     return nullptr;
 }
@@ -106,35 +100,38 @@ Cache::fetchFromBelow(Addr line, Addr pc, Cycle now)
     return dram_->access(now);
 }
 
-Cache::Line *
+size_t
 Cache::chooseVictim(size_t set_base)
 {
-    Line *set = &lines[set_base];
-    // Invalid ways always win (first one, as before). The tag array
-    // mirrors validity (kNoTag), so this scan reads one packed host
-    // line instead of striding through the Line structs.
+    // Invalid ways always win (first one, as before). Lines are never
+    // invalidated and this always takes the lowest invalid way, so a set
+    // fills in way order and is full exactly when its last way is valid.
     const Addr *tags = &tags_[set_base];
-    for (uint32_t w = 0; w < cfg.ways; ++w) {
-        if (tags[w] == kNoTag)
-            return &set[w];
+    if (tags[cfg.ways - 1] == kNoTag) {
+        for (uint32_t w = 0; w < cfg.ways; ++w) {
+            if (tags[w] == kNoTag)
+                return set_base + w;
+        }
     }
+    Line *set = &lines[set_base];
     switch (cfg.replacement) {
       case ReplacementPolicy::Lru:
       case ReplacementPolicy::Fifo: {
         // Same victim rule (smallest stamp); they differ in touchLine().
-        Line *victim = set;
+        const uint64_t *stamps = &stamps_[set_base];
+        uint32_t victim = 0;
         for (uint32_t w = 1; w < cfg.ways; ++w) {
-            if (set[w].lastUse < victim->lastUse)
-                victim = &set[w];
+            if (stamps[w] < stamps[victim])
+                victim = w;
         }
-        return victim;
+        return set_base + victim;
       }
       case ReplacementPolicy::Random: {
         // xorshift64 step.
         victimSeed ^= victimSeed << 13;
         victimSeed ^= victimSeed >> 7;
         victimSeed ^= victimSeed << 17;
-        return &set[victimSeed % cfg.ways];
+        return set_base + victimSeed % cfg.ways;
       }
       case ReplacementPolicy::Srrip: {
         // Find (ageing as needed) a line with the maximum RRPV. RRPV is
@@ -145,47 +142,49 @@ Cache::chooseVictim(size_t set_base)
             EIP_ASSERT(pass <= 4, "SRRIP ageing loop did not converge");
             for (uint32_t w = 0; w < cfg.ways; ++w) {
                 if (set[w].rrpv >= 3)
-                    return &set[w];
+                    return set_base + w;
             }
             for (uint32_t w = 0; w < cfg.ways; ++w)
                 ++set[w].rrpv;
         }
       }
     }
-    return set;
+    return set_base;
 }
 
 void
-Cache::touchLine(Line &line)
+Cache::touchLine(size_t index)
 {
     switch (cfg.replacement) {
       case ReplacementPolicy::Lru:
-        line.lastUse = ++lruClock;
+        stamps_[index] = ++lruClock;
         break;
       case ReplacementPolicy::Fifo:
       case ReplacementPolicy::Random:
         break; // no promotion on hit
       case ReplacementPolicy::Srrip:
-        line.rrpv = 0;
+        lines[index].rrpv = 0;
         break;
     }
 }
 
 void
-Cache::installLine(const Mshr &entry)
+Cache::installLine(Addr line, const Mshr &entry)
 {
-    size_t base = static_cast<size_t>(setIndex(entry.line)) * cfg.ways;
-    Line *victim = chooseVictim(base);
+    size_t base = static_cast<size_t>(setIndex(line)) * cfg.ways;
+    size_t way = chooseVictim(base);
+    Line *victim = &lines[way];
+    Addr evicted = tags_[way];
 
     CacheFillInfo info;
-    info.line = entry.line;
+    info.line = line;
     info.cycle = entry.ready;
     info.byPrefetch = entry.isPrefetch;
     info.demandHappened = entry.demandTouched;
 
-    if (victim->valid) {
+    if (evicted != kNoTag) {
         info.evictedValid = true;
-        info.evictedLine = victim->line;
+        info.evictedLine = evicted;
         if (victim->prefetched && !victim->used)
             info.evictedUnusedPrefetch = true;
         // Warming freezes statistics and observers; the prefetcher still
@@ -196,29 +195,27 @@ Cache::installLine(const Mshr &entry)
             if (info.evictedUnusedPrefetch) {
                 ++stats_.wrongPrefetches;
                 if (tracer_ != nullptr)
-                    tracer_->pfEvictedUnused(victim->line, entry.ready);
+                    tracer_->pfEvictedUnused(evicted, entry.ready);
             }
             if (why_ != nullptr) {
-                why_->lineEvicted(victim->line,
+                why_->lineEvicted(evicted,
                                   victim->prefetched && !victim->used,
                                   entry.wrongPath);
             }
         }
     }
 
-    victim->valid = true;
-    victim->line = entry.line;
-    victim->lastUse = ++lruClock; // LRU stamp == FIFO fill stamp here
-    victim->rrpv = 2;             // SRRIP long re-reference insertion
+    tags_[way] = line;
+    stamps_[way] = ++lruClock; // LRU stamp == FIFO fill stamp here
+    victim->rrpv = 2;          // SRRIP long re-reference insertion
     victim->prefetched = entry.isPrefetch;
     victim->used = entry.demandTouched;
-    tags_[static_cast<size_t>(victim - lines.data())] = entry.line;
     if (!warming_) {
         ++stats_.fills;
         if (tracer_ != nullptr && entry.isPrefetch)
-            tracer_->pfFilled(entry.line, entry.ready, entry.demandTouched);
+            tracer_->pfFilled(line, entry.ready, entry.demandTouched);
         if (why_ != nullptr && entry.isPrefetch)
-            why_->prefetchFilled(entry.line);
+            why_->prefetchFilled(line);
     }
 
     if (prefetcher != nullptr)
@@ -238,22 +235,19 @@ Cache::drainFills(Cycle now)
     // decisions and fill hooks observe an unchanged timeline.
     drainScratch_.clear();
     Cycle next = kCycleNever;
-    uint64_t remaining = inflightFills_; // early-exit as in findMshr()
-    for (uint32_t i = 0; i < mshrs.size() && remaining > 0; ++i) {
-        const Mshr &m = mshrs[i];
-        if (!m.valid)
-            continue;
-        --remaining;
-        if (m.ready <= now)
-            drainScratch_.emplace_back(m.ready, i);
+    forEachBusyMshr([&](uint32_t i) {
+        Cycle ready = mshrs[i].ready;
+        if (ready <= now)
+            drainScratch_.emplace_back(ready, i);
         else
-            next = std::min(next, m.ready);
-    }
-    std::sort(drainScratch_.begin(), drainScratch_.end());
+            next = std::min(next, ready);
+    });
+    if (drainScratch_.size() > 1)
+        std::sort(drainScratch_.begin(), drainScratch_.end());
     for (const auto &[ready, index] : drainScratch_) {
         (void)ready;
-        installLine(mshrs[index]);
-        mshrs[index].valid = false;
+        installLine(mshrLines_[index], mshrs[index]);
+        mshrBusy_[index / 64] &= ~(uint64_t{1} << (index % 64));
         --inflightFills_;
     }
     nextReady_ = next;
@@ -262,7 +256,7 @@ Cache::drainFills(Cycle now)
 bool
 Cache::probe(Addr line) const
 {
-    return findLine(line) != nullptr;
+    return findWay(line) != kNoWay;
 }
 
 Cache::Access
@@ -278,10 +272,11 @@ Cache::demandAccess(Addr line, Addr pc, Cycle now)
     op.triggerPc = pc;
     op.cycle = now;
 
-    if (Line *hit = findLine(line)) {
+    if (size_t way = findWay(line); way != kNoWay) {
+        Line *hit = &lines[way];
         ++stats_.demandAccesses;
         ++stats_.demandHits;
-        touchLine(*hit);
+        touchLine(way);
         if (hit->prefetched && !hit->used) {
             ++stats_.usefulPrefetches;
             op.hitWasPrefetch = true;
@@ -307,11 +302,10 @@ Cache::demandAccess(Addr line, Addr pc, Cycle now)
         ++stats_.prefetchIssued;
         fetchFromBelow(line, pc, now);
         Mshr pseudo;
-        pseudo.line = line;
         pseudo.ready = now;
         pseudo.isPrefetch = false;
         pseudo.demandTouched = true;
-        installLine(pseudo);
+        installLine(line, pseudo);
         result.hit = true;
         result.ready = now + cfg.hitLatency;
         return result;
@@ -320,11 +314,13 @@ Cache::demandAccess(Addr line, Addr pc, Cycle now)
     if (Mshr *inflight = findMshr(line)) {
         ++stats_.demandAccesses;
         ++stats_.demandMisses;
+        op.holdsMshr = true;
         if (inflight->isPrefetch && !inflight->demandTouched) {
             // The paper's "late prefetch": a demand miss finds the access
             // bit unset in the MSHR entry allocated by a prefetch.
             ++stats_.latePrefetches;
             op.missLatePrefetch = true;
+            op.prefetchIssueCycle = inflight->issued;
             if (tracer_ != nullptr) {
                 tracer_->pfLateUse(line, now,
                                    inflight->ready > now
@@ -355,8 +351,7 @@ Cache::demandAccess(Addr line, Addr pc, Cycle now)
         return result;
     }
 
-    Mshr *slot = allocMshr();
-    if (slot == nullptr) {
+    if (freeMshrs() == 0) {
         result.mshrFull = true;
         result.ready = now + 1;
         return result;
@@ -368,14 +363,13 @@ Cache::demandAccess(Addr line, Addr pc, Cycle now)
     // blame() sees the table state the miss actually hit.
     if (why_ != nullptr)
         classifyDemandMiss(line, pc);
-    slot->valid = true;
-    ++inflightFills_;
-    slot->line = line;
+    Mshr *slot = allocMshr(line, now);
     slot->isPrefetch = false;
     slot->demandTouched = true;
     slot->wrongPath = false;
     slot->ready = fetchFromBelow(line, pc, now);
     nextReady_ = std::min(nextReady_, slot->ready);
+    op.holdsMshr = true;
     result.ready = slot->ready;
     classifyMiss(stats_, result.ready, now);
     if (tracer_ != nullptr) {
@@ -401,27 +395,29 @@ Cache::speculativeAccess(Addr line, Addr pc, Cycle now)
     op.cycle = now;
     op.speculative = true;
 
-    if (Line *hit = findLine(line)) {
+    if (size_t way = findWay(line); way != kNoWay) {
         // Touch the replacement state as real wrong-path fetch would, but
         // leave the prefetch used-bit alone: a speculative touch is not a
         // use.
-        touchLine(*hit);
+        touchLine(way);
         op.hit = true;
         if (prefetcher != nullptr)
             prefetcher->onCacheOperate(op);
         return;
     }
     ++stats_.wrongPathMisses;
-    if (findMshr(line) == nullptr && !cfg.idealHit) {
-        if (Mshr *slot = allocMshr()) {
-            slot->valid = true;
-            ++inflightFills_;
-            slot->line = line;
+    if (Mshr *inflight = findMshr(line)) {
+        // Merging does not touch the entry: only a fill a demand already
+        // touched will report demandHappened.
+        op.holdsMshr = inflight->demandTouched;
+    } else if (!cfg.idealHit) {
+        if (Mshr *slot = allocMshr(line, now)) {
             slot->isPrefetch = false;
             slot->demandTouched = true; // wrong-path fills look demanded
             slot->wrongPath = true;
             slot->ready = fetchFromBelow(line, pc, now);
             nextReady_ = std::min(nextReady_, slot->ready);
+            op.holdsMshr = true;
         }
     }
     if (prefetcher != nullptr)
@@ -451,8 +447,9 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
     op.triggerPc = pc;
     op.cycle = now;
 
-    if (Line *hit = findLine(line)) {
-        touchLine(*hit);
+    if (size_t way = findWay(line); way != kNoWay) {
+        Line *hit = &lines[way];
+        touchLine(way);
         if (hit->prefetched && !hit->used)
             op.hitWasPrefetch = true;
         hit->used = true;
@@ -467,11 +464,10 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
         // levels below.
         warmFetchBelow(line, pc, now);
         Mshr pseudo;
-        pseudo.line = line;
         pseudo.ready = now;
         pseudo.isPrefetch = false;
         pseudo.demandTouched = true;
-        installLine(pseudo);
+        installLine(line, pseudo);
         return now + cfg.hitLatency;
     }
 
@@ -479,8 +475,11 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
         // A window-era fill is still in flight; demand-touch it and let
         // it drain when due (installing a second copy now would break
         // mshr_array_disjoint).
-        if (inflight->isPrefetch && !inflight->demandTouched)
+        if (inflight->isPrefetch && !inflight->demandTouched) {
             op.missLatePrefetch = true;
+            op.prefetchIssueCycle = inflight->issued;
+        }
+        op.holdsMshr = true;
         inflight->demandTouched = true;
         inflight->wrongPath = false;
         if (prefetcher != nullptr)
@@ -497,24 +496,24 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
         // miss stream exactly where the timed path abandons accesses
         // (see setWarmMshrThrottle). A dropped access still trained the
         // prefetcher above, like the timed drop did.
-        Mshr *slot = allocMshr();
+        Mshr *slot = allocMshr(line, now);
         if (slot == nullptr) {
             if (prefetcher != nullptr)
                 prefetcher->onCacheOperate(op);
             return now + cfg.hitLatency + 1;
         }
-        slot->valid = true;
-        ++inflightFills_;
-        slot->line = line;
         slot->isPrefetch = false;
         slot->demandTouched = true;
         slot->ready = warmFetchBelow(line, pc, now);
         nextReady_ = std::min(nextReady_, slot->ready);
+        op.holdsMshr = true;
         if (prefetcher != nullptr)
             prefetcher->onCacheOperate(op);
         return slot->ready;
     }
     Cycle ready = warmFetchBelow(line, pc, now);
+    // The install below stands in for a demand MSHR filling at `ready`.
+    op.holdsMshr = true;
     if (prefetcher != nullptr)
         prefetcher->onCacheOperate(op);
     // The miss hook may have functionally prefetched the missing line
@@ -522,17 +521,16 @@ Cache::warmAccess(Addr line, Addr pc, Cycle now)
     // timed path is protected by the demand MSHR allocated before its
     // hook fires). Installing a second copy would corrupt the set, so
     // adopt the prefetched copy as demand-touched instead.
-    if (Line *filled = findLine(line)) {
-        touchLine(*filled);
-        filled->used = true;
+    if (size_t way = findWay(line); way != kNoWay) {
+        touchLine(way);
+        lines[way].used = true;
         return ready;
     }
     Mshr pseudo;
-    pseudo.line = line;
     pseudo.ready = ready;
     pseudo.isPrefetch = false;
     pseudo.demandTouched = true;
-    installLine(pseudo);
+    installLine(line, pseudo);
     return ready;
 }
 
@@ -544,21 +542,14 @@ Cache::enqueuePrefetch(Addr line)
         // line with its prefetch bit set, and fire the issue/fill hooks
         // at the synthetic latency so confidence learning continues.
         // The same duplicate filters as the timed issue path apply.
-        if (findLine(line) != nullptr || findMshr(line) != nullptr)
+        if (findWay(line) != kNoWay || findMshr(line) != nullptr)
             return false;
         Cycle ready = warmFetchBelow(line, /*pc=*/0, now_);
-        if (prefetcher != nullptr)
-            prefetcher->onPrefetchIssued(line, now_);
-        // The issue hook may itself have prefetched this line through a
-        // re-entrant enqueuePrefetch — never install a second copy.
-        if (findLine(line) != nullptr)
-            return true;
         Mshr pseudo;
-        pseudo.line = line;
         pseudo.ready = ready;
         pseudo.isPrefetch = true;
         pseudo.demandTouched = false;
-        installLine(pseudo);
+        installLine(line, pseudo);
         return true;
     }
     ++stats_.prefetchRequested;
@@ -608,7 +599,7 @@ Cache::issuePrefetches(Cycle now)
     uint32_t budget = cfg.pqIssuePerCycle;
     while (budget > 0 && !pq.empty()) {
         Addr line = pq.front().line;
-        if (findLine(line) != nullptr) {
+        if (findWay(line) != kNoWay) {
             ++stats_.prefetchFiltered;
             ++stats_.prefetchDropDupCached;
             if (tracer_ != nullptr)
@@ -639,12 +630,9 @@ Cache::issuePrefetches(Cycle now)
                 tracer_->pfMshrDefer(line, now);
             return;
         }
-        Mshr *slot = allocMshr();
+        Mshr *slot = allocMshr(line, now);
         if (slot == nullptr)
             return;
-        slot->valid = true;
-        ++inflightFills_;
-        slot->line = line;
         slot->isPrefetch = true;
         slot->demandTouched = false;
         slot->wrongPath = false;
@@ -653,8 +641,6 @@ Cache::issuePrefetches(Cycle now)
         ++stats_.prefetchIssued;
         if (tracer_ != nullptr)
             tracer_->pfIssued(line, now);
-        if (prefetcher != nullptr)
-            prefetcher->onPrefetchIssued(line, now);
         pq.pop_front();
         --budget;
     }
@@ -668,8 +654,7 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
     // double-freed MSHR shows up as a recount mismatch.
     inv.add(prefix + ".mshr_accounting", [this](std::string &detail) {
         uint64_t valid = 0;
-        for (const auto &m : mshrs)
-            valid += m.valid ? 1 : 0;
+        forEachBusyMshr([&](uint32_t) { ++valid; });
         if (valid == inflightFills_)
             return true;
         detail = "valid_mshrs=" + std::to_string(valid) +
@@ -682,10 +667,9 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
     // tick/access boundary — fills drain only there, never from probes.
     inv.add(prefix + ".no_overdue_fills", [this](std::string &detail) {
         Cycle min_ready = kCycleNever;
-        for (const auto &m : mshrs) {
-            if (m.valid)
-                min_ready = std::min(min_ready, m.ready);
-        }
+        forEachBusyMshr([&](uint32_t i) {
+            min_ready = std::min(min_ready, mshrs[i].ready);
+        });
         if (nextReady_ != min_ready) {
             detail = "watermark=" + std::to_string(nextReady_) +
                      " recounted_min=" + std::to_string(min_ready);
@@ -706,10 +690,7 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
     // and the MSHRs at issue time, so transient overlap there is legal.
     inv.add(prefix + ".mshr_array_disjoint", [this](std::string &detail) {
         std::vector<Addr> inflight;
-        for (const auto &m : mshrs) {
-            if (m.valid)
-                inflight.push_back(m.line);
-        }
+        forEachBusyMshr([&](uint32_t i) { inflight.push_back(mshrLines_[i]); });
         std::sort(inflight.begin(), inflight.end());
         for (size_t i = 1; i < inflight.size(); ++i) {
             if (inflight[i] == inflight[i - 1]) {
@@ -719,7 +700,7 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
             }
         }
         for (Addr line : inflight) {
-            if (findLine(line) != nullptr) {
+            if (findWay(line) != kNoWay) {
                 detail = "line " + std::to_string(line) +
                          " both resident and in flight";
                 return false;
@@ -754,36 +735,33 @@ Cache::registerInvariants(check::Invariants &inv, const std::string &prefix)
     });
 
     // Set-array audit, one set per call (rotating cursor): valid lines
-    // map to the set they sit in, and no set holds the same line twice.
+    // map to the set they sit in, no set holds the same line twice, and
+    // no stamp is newer than the clock that issued it.
     inv.add(prefix + ".array_set_audit", [this](std::string &detail) {
         uint32_t set = auditSet_;
         auditSet_ = (auditSet_ + 1) % numSets;
         size_t base = static_cast<size_t>(set) * cfg.ways;
         for (uint32_t w = 0; w < cfg.ways; ++w) {
-            const Line &entry = lines[base + w];
-            // The parallel tag array must mirror the way exactly; a
-            // desync would make findLine disagree with the line array.
-            Addr expect = entry.valid ? entry.line : kNoTag;
-            if (tags_[base + w] != expect) {
-                detail = "tag array desync in set " + std::to_string(set) +
-                         " way " + std::to_string(w) + ": tag=" +
-                         std::to_string(tags_[base + w]) + " expected " +
-                         std::to_string(expect);
-                return false;
-            }
-            if (!entry.valid)
+            Addr line = tags_[base + w];
+            if (line == kNoTag)
                 continue;
-            if (setIndex(entry.line) != set) {
-                detail = "line " + std::to_string(entry.line) +
+            if (setIndex(line) != set) {
+                detail = "line " + std::to_string(line) +
                          " stored in set " + std::to_string(set) +
                          " but maps to set " +
-                         std::to_string(setIndex(entry.line));
+                         std::to_string(setIndex(line));
+                return false;
+            }
+            if (stamps_[base + w] > lruClock) {
+                detail = "set " + std::to_string(set) + " way " +
+                         std::to_string(w) + ": stamp " +
+                         std::to_string(stamps_[base + w]) + " > clock " +
+                         std::to_string(lruClock);
                 return false;
             }
             for (uint32_t v = w + 1; v < cfg.ways; ++v) {
-                const Line &other = lines[base + v];
-                if (other.valid && other.line == entry.line) {
-                    detail = "line " + std::to_string(entry.line) +
+                if (tags_[base + v] == line) {
+                    detail = "line " + std::to_string(line) +
                              " duplicated in set " + std::to_string(set);
                     return false;
                 }

@@ -9,6 +9,7 @@
 #ifndef EIP_SIM_CACHE_HH
 #define EIP_SIM_CACHE_HH
 
+#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
@@ -180,6 +181,8 @@ class Cache
 
     /** Number of free MSHR entries (for tests). */
     uint32_t freeMshrs() const;
+    /** Number of MSHR entries, busy or free. */
+    uint32_t mshrCount() const { return static_cast<uint32_t>(mshrs.size()); }
     /** Prefetch-queue occupancy (for tests). */
     size_t pqOccupancy() const { return pq.size(); }
 
@@ -216,21 +219,22 @@ class Cache
                             const std::string &prefix);
 
   private:
+    /** Per-way state besides the tag and the LRU stamp, which live in
+     *  their own packed arrays (tags_, stamps_). */
     struct Line
     {
-        bool valid = false;
-        Addr line = 0;
-        uint64_t lastUse = 0;   ///< LRU stamp (doubles as FIFO fill stamp)
         uint8_t rrpv = 3;       ///< SRRIP re-reference prediction value
         bool prefetched = false; ///< brought in by a prefetch
         bool used = false;       ///< touched by a demand access since fill
     };
 
+    /** An in-flight fill; its line lives in the packed mshrLines_. */
     struct Mshr
     {
-        bool valid = false;
-        Addr line = 0;
         Cycle ready = kCycleNever;
+        /** Cycle the request left for the next level; for a prefetch,
+         *  the paper's PQ timestamp. */
+        Cycle issued = 0;
         bool isPrefetch = false;
         bool demandTouched = false; ///< the paper's MSHR "access bit"
         /** Fill initiated down the wrong path and never demanded since;
@@ -245,20 +249,37 @@ class Cache
     };
 
     uint32_t setIndex(Addr line) const { return line & (numSets - 1); }
-    Line *findLine(Addr line);
-    const Line *findLine(Addr line) const;
-    /** Pick the victim way in @p set_base per the configured policy. */
-    Line *chooseVictim(size_t set_base);
-    /** Promote @p line after a demand hit per the configured policy. */
-    void touchLine(Line &line);
+    /** Array index (set-major) of the way holding @p line, or kNoWay. */
+    size_t findWay(Addr line) const;
+    static constexpr size_t kNoWay = ~size_t{0};
+    /** Pick the victim way in @p set_base per the configured policy;
+     *  returns its array index. */
+    size_t chooseVictim(size_t set_base);
+    /** Promote the way at @p index after a hit per the configured
+     *  policy. */
+    void touchLine(size_t index);
     Mshr *findMshr(Addr line);
-    Mshr *allocMshr();
+    /** Call @p fn(index) for every busy MSHR, in index order. */
+    template <typename Fn>
+    void
+    forEachBusyMshr(Fn &&fn) const
+    {
+        for (size_t w = 0; w < mshrBusy_.size(); ++w) {
+            for (uint64_t bits = mshrBusy_[w]; bits != 0; bits &= bits - 1)
+                fn(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+        }
+    }
+    /** Claim the lowest free MSHR for @p line, issued at @p now, and
+     *  count its fill in flight; nullptr when every entry is busy. The
+     *  caller sets the request kind and the ready cycle. */
+    Mshr *allocMshr(Addr line, Cycle now);
     /** Fetch @p line from the next level; returns data-ready cycle. */
     Cycle fetchFromBelow(Addr line, Addr pc, Cycle now);
     /** Warming counterpart: recurse with warmAccess, mean DRAM latency. */
     Cycle warmFetchBelow(Addr line, Addr pc, Cycle now);
-    /** Install @p line; fires eviction bookkeeping and returns fill info. */
-    void installLine(const Mshr &entry);
+    /** Install @p line, filled by @p entry; fires eviction bookkeeping
+     *  and the prefetcher's fill hook. */
+    void installLine(Addr line, const Mshr &entry);
     /** Charge a demand miss to its blame category (why_ is non-null):
      *  shadow verdict, then the prefetcher's blame() hook, then the
      *  seen-set fallback. */
@@ -270,15 +291,24 @@ class Cache
     uint32_t numSets;
     std::vector<Line> lines;  ///< numSets * ways, set-major
     /**
-     * Tag of each way, parallel to `lines` (kNoTag when invalid) — the
-     * lookup-hot fields packed one cache line per set so findLine touches
-     * one host line instead of striding through the full Line structs.
-     * Maintained solely by installLine (lines are never invalidated).
+     * Line address held by each way, parallel to `lines` (kNoTag when
+     * invalid): the only record of validity and contents, packed one
+     * host cache line per set so a lookup touches one host line.
+     * Written solely by installLine (lines are never invalidated).
      */
     std::vector<Addr> tags_;
+    /** LRU stamp of each way (doubles as the FIFO fill stamp), parallel
+     *  to `lines`, so victim selection scans one packed run per set. */
+    std::vector<uint64_t> stamps_;
     static constexpr Addr kNoTag = ~Addr{0}; ///< no real line address
                                              ///< (byte >> 6) reaches this
     std::vector<Mshr> mshrs;
+    /** Line of each MSHR, parallel to `mshrs`; meaningful only while the
+     *  entry is busy. Packed so a lookup scans one run of addresses. */
+    std::vector<Addr> mshrLines_;
+    /** One bit per MSHR, set while it is busy: the only record of which
+     *  entries are, so scans visit busy entries only, in index order. */
+    std::vector<uint64_t> mshrBusy_;
     util::Ring<PqEntry> pq;
     /** Fills currently in flight; every MSHR allocation increments it and
      *  every drained fill decrements it, so any path that frees or

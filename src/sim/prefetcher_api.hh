@@ -39,6 +39,14 @@ struct CacheOperateInfo
     bool hit = false;         ///< present in the cache array
     bool hitWasPrefetch = false; ///< hit on a not-yet-used prefetched line
     bool missLatePrefetch = false; ///< miss merged into in-flight prefetch
+    /** With missLatePrefetch: the cycle that prefetch left the PQ for the
+     *  next level (the paper's PQ/MSHR timestamp, §III-A2). */
+    Cycle prefetchIssueCycle = 0;
+    /** The miss holds a demand-touched MSHR, so the fill that retires it
+     *  reports demandHappened. Always set on a demand miss; a wrong-path
+     *  miss holds one only when it got its own MSHR or merged into one a
+     *  demand already touched. */
+    bool holdsMshr = false;
     /** Access made down a mispredicted path (only when the simulator
      *  models wrong-path execution). A real prefetcher cannot observe
      *  this bit at access time; it stands in for the paper's §III-C1
@@ -102,17 +110,6 @@ class Prefetcher
 
     /** A line was installed in the owning cache. */
     virtual void onCacheFill(const CacheFillInfo &info) { (void)info; }
-
-    /**
-     * A queued prefetch left the PQ towards the next level (this is when
-     * the paper's PQ entry records its timestamp). Not called for requests
-     * filtered or dropped before issue.
-     */
-    virtual void onPrefetchIssued(Addr line, Cycle cycle)
-    {
-        (void)line;
-        (void)cycle;
-    }
 
     /** A branch was predicted by the front-end (retire-order stream). */
     virtual void

@@ -9,9 +9,8 @@
 #ifndef EIP_SIM_VMEM_HH
 #define EIP_SIM_VMEM_HH
 
-#include <unordered_map>
-
 #include "sim/types.hh"
+#include "util/flat_map.hh"
 
 namespace eip::sim {
 
@@ -30,14 +29,14 @@ class VirtualMemory
     translate(Addr vaddr)
     {
         Addr vpage = pageAddr(vaddr);
-        auto it = pageTable.find(vpage);
-        if (it == pageTable.end()) {
+        Addr *frame = pageTable.find(vpage);
+        if (frame == nullptr) {
             // Scramble a frame counter through a bijective mixer so frames
             // are unique but non-contiguous (48-bit physical space).
-            Addr frame = scramble(nextFrame++) & ((Addr{1} << 36) - 1);
-            it = pageTable.emplace(vpage, frame).first;
+            frame = &pageTable[vpage];
+            *frame = scramble(nextFrame++) & ((Addr{1} << 36) - 1);
         }
-        return (it->second << kPageBits) | (vaddr & (kPageSize - 1));
+        return (*frame << kPageBits) | (vaddr & (kPageSize - 1));
     }
 
     size_t mappedPages() const { return pageTable.size(); }
@@ -55,7 +54,7 @@ class VirtualMemory
 
     uint64_t seed_;
     Addr nextFrame = 0x100000; ///< keep frames away from address zero
-    std::unordered_map<Addr, Addr> pageTable;
+    util::FlatMap<Addr> pageTable; ///< virtual page -> physical frame
 };
 
 } // namespace eip::sim

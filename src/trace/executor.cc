@@ -8,6 +8,14 @@ Executor::Executor(const Program &program, const ExecutorConfig &cfg)
     : prog(program), config(cfg), rng(cfg.seed)
 {
     EIP_ASSERT(!prog.functions.empty(), "cannot execute an empty program");
+    size_t blocks = 0;
+    blockBase.reserve(prog.functions.size());
+    for (const Function &fn : prog.functions) {
+        blockBase.push_back(static_cast<uint32_t>(blocks));
+        blocks += fn.blocks.size();
+    }
+    loopTrips.assign(blocks, kNoTrips);
+    dispatchPos.assign(blocks, 0);
     advanceToBlock(0, 0);
 }
 
@@ -94,18 +102,16 @@ Executor::emitTerminator()
         bool taken;
         if (blk.loopTripCount > 0) {
             // Loop back-edge with a drawn trip count per loop entry.
-            uint64_t key = (uint64_t{curFunc} << 32) | curBlock;
-            auto it = loopTrips.find(key);
-            if (it == loopTrips.end()) {
-                uint32_t trips = 1 + static_cast<uint32_t>(
+            uint32_t &trips = loopTrips[globalBlock()];
+            if (trips == kNoTrips) {
+                trips = 1 + static_cast<uint32_t>(
                     rng.below(2 * blk.loopTripCount));
-                it = loopTrips.emplace(key, trips).first;
             }
-            if (it->second > 0) {
-                --it->second;
+            if (trips > 0) {
+                --trips;
                 taken = true;
             } else {
-                loopTrips.erase(it);
+                trips = kNoTrips;
                 taken = false;
             }
         } else {
@@ -149,8 +155,7 @@ Executor::emitTerminator()
             // sequences recur — the property correlation prefetchers rely
             // on. Model: advance through the candidate list with high
             // probability, sometimes repeat, rarely jump at random.
-            uint64_t key = (uint64_t{curFunc} << 32) | curBlock;
-            uint32_t &pos = dispatchPos[key];
+            uint32_t &pos = dispatchPos[globalBlock()];
             double u = rng.uniform();
             if (u < 0.80)
                 pos = (pos + 1) % blk.callees.size();

@@ -11,11 +11,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/instruction.hh"
 #include "trace/program.hh"
+#include "util/flat_map.hh"
 #include "util/rng.hh"
 
 namespace eip::trace {
@@ -62,6 +62,8 @@ class Executor : public InstructionSource
     void emitBody(const StaticInst &inst, uint64_t pc);
     void emitTerminator();
     uint64_t dataAddress(const StaticInst &inst, uint64_t pc);
+    /** Dense index of the current block across all functions. */
+    size_t globalBlock() const { return blockBase[curFunc] + curBlock; }
 
     const Program &prog;
     ExecutorConfig config;
@@ -73,16 +75,21 @@ class Executor : public InstructionSource
     uint64_t bodyPc = 0;
 
     std::vector<Frame> stack;
-    /** Remaining trips for active loop back-edges, keyed by
-     *  (func << 32) | block. */
-    std::unordered_map<uint64_t, uint32_t> loopTrips;
-    /** Cyclic position of each wide dispatch site (same key scheme). */
-    std::unordered_map<uint64_t, uint32_t> dispatchPos;
+    /** Index of each function's first block in the dense per-block
+     *  arrays below. */
+    std::vector<uint32_t> blockBase;
+    /** Remaining trips of each loop back-edge, by global block;
+     *  kNoTrips while the loop is not active. */
+    std::vector<uint32_t> loopTrips;
+    static constexpr uint32_t kNoTrips = ~uint32_t{0};
+    /** Cyclic position of each wide dispatch site, by global block. */
+    std::vector<uint32_t> dispatchPos;
 
     Instruction out;
     uint64_t emittedCount = 0;
-    /** Per-site cursors of streaming loads/stores, keyed by pc. */
-    std::unordered_map<uint64_t, uint64_t> streamCursor;
+    /** Per-site cursors of streaming loads/stores, keyed by pc (sites
+     *  sharing a pc share a cursor). */
+    util::FlatMap<uint64_t> streamCursor;
 };
 
 } // namespace eip::trace

@@ -15,7 +15,9 @@ namespace eip {
 
 /**
  * An n-bit saturating counter. The paper's confidence counters are 2-bit
- * instances; branch predictors use 2- and 3-bit instances.
+ * instances; branch predictors use 2- and 3-bit instances. Four bytes:
+ * tables of them (the gshare PHT, Entangled-table destinations) stay
+ * dense on the host.
  */
 class SaturatingCounter
 {
@@ -27,11 +29,11 @@ class SaturatingCounter
      * @param initial Initial counter value; clamped to the valid range.
      */
     explicit SaturatingCounter(unsigned num_bits, unsigned initial = 0)
-        : maxValue((1u << num_bits) - 1)
+        : maxValue(static_cast<uint16_t>((1u << num_bits) - 1))
     {
         EIP_ASSERT(num_bits >= 1 && num_bits <= 16,
                    "saturating counter width out of range");
-        value_ = initial > maxValue ? maxValue : initial;
+        set(initial);
     }
 
     /** Increment, saturating at the maximum. */
@@ -54,7 +56,7 @@ class SaturatingCounter
     void
     set(unsigned v)
     {
-        value_ = v > maxValue ? maxValue : v;
+        value_ = v > maxValue ? maxValue : static_cast<uint16_t>(v);
     }
 
     unsigned value() const { return value_; }
@@ -66,8 +68,8 @@ class SaturatingCounter
     bool strong() const { return value_ > maxValue / 2; }
 
   private:
-    unsigned maxValue = 3;
-    unsigned value_ = 0;
+    uint16_t maxValue = 3;
+    uint16_t value_ = 0;
 };
 
 } // namespace eip

@@ -61,15 +61,8 @@ class RecordingPrefetcher : public Prefetcher
         fills.push_back(info);
     }
 
-    void
-    onPrefetchIssued(Addr line, Cycle cycle) override
-    {
-        issued.emplace_back(line, cycle);
-    }
-
     std::vector<CacheOperateInfo> operates;
     std::vector<CacheFillInfo> fills;
-    std::vector<std::pair<Addr, Cycle>> issued;
 };
 
 TEST(Cache, MissThenHit)
@@ -141,8 +134,6 @@ TEST(Cache, PrefetchLifecycleUsefulAndWrong)
 
     EXPECT_TRUE(rig.cache.enqueuePrefetch(0x10));
     rig.cache.tick(1); // issues the prefetch
-    ASSERT_EQ(rec.issued.size(), 1u);
-    EXPECT_EQ(rec.issued[0].first, 0x10u);
     EXPECT_EQ(rig.cache.stats().prefetchIssued, 1u);
 
     rig.cache.tick(200); // fill
@@ -189,6 +180,8 @@ TEST(Cache, WrongPrefetchDetectedOnEviction)
 TEST(Cache, LatePrefetchDetected)
 {
     Rig rig(tinyL1());
+    RecordingPrefetcher rec;
+    rig.cache.attachPrefetcher(&rec);
     rig.cache.enqueuePrefetch(0x20);
     rig.cache.tick(1); // issue at cycle 1, fills at 101
 
@@ -198,6 +191,12 @@ TEST(Cache, LatePrefetchDetected)
     EXPECT_EQ(res.ready, 101u);
     EXPECT_EQ(rig.cache.stats().latePrefetches, 1u);
     EXPECT_EQ(rig.cache.stats().demandMisses, 1u);
+    // The merge hands the prefetcher the MSHR's issue cycle (the PQ
+    // timestamp) and tells it the miss now holds that MSHR.
+    ASSERT_EQ(rec.operates.size(), 1u);
+    EXPECT_TRUE(rec.operates[0].missLatePrefetch);
+    EXPECT_EQ(rec.operates[0].prefetchIssueCycle, 1u);
+    EXPECT_TRUE(rec.operates[0].holdsMshr);
 }
 
 TEST(Cache, PrefetchFilteredWhenCached)

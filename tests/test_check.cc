@@ -124,7 +124,7 @@ TEST(StructureAudits, CorruptedTagIsCaughtBySetAudit)
                            core::CompressionScheme::virtualScheme());
     core::EntangledEntry *e = t.recordBasicBlock(0x4000, 1);
     auto [set, way] = t.coordsOf(*e);
-    t.entryAt(set, way).tag ^= 1;
+    t.tagAt(set, way) ^= 1;
     Invariants inv;
     t.registerInvariants(inv, "table");
     bool caught = false;

@@ -10,6 +10,7 @@
 
 #include <deque>
 
+#include "check/invariants.hh"
 #include "core/entangling.hh"
 #include "sim/cache.hh"
 #include "sim/dram.hh"
@@ -58,7 +59,7 @@ class EntanglingTest : public ::testing::Test
     /** Synthesize a demand access. */
     void
     access(Addr line, Cycle cycle, bool hit, bool hit_was_prefetch = false,
-           bool late = false)
+           bool late = false, Cycle prefetch_issued = 0)
     {
         CacheOperateInfo info;
         info.line = line;
@@ -67,6 +68,8 @@ class EntanglingTest : public ::testing::Test
         info.hit = hit;
         info.hitWasPrefetch = hit_was_prefetch;
         info.missLatePrefetch = late;
+        info.prefetchIssueCycle = prefetch_issued;
+        info.holdsMshr = !hit;
         pf->onCacheOperate(info);
     }
 
@@ -303,10 +306,9 @@ TEST_F(EntanglingTest, LatePrefetchUsesIssueTimestampForLatency)
     // Heads: line 10 at cycle 100, line 20 at cycle 460.
     access(10, 100, true);
     access(20, 460, true);
-    // A prefetch for line 40 was issued at cycle 200 (PQ timestamp).
-    pf->onPrefetchIssued(40, 200);
-    // Demand for 40 at 500 finds it in flight (late); fill at 520.
-    access(40, 500, false, false, /*late=*/true);
+    // A prefetch for line 40 was issued at cycle 200 (PQ timestamp);
+    // the demand for 40 at 500 finds it in flight (late); fill at 520.
+    access(40, 500, false, false, /*late=*/true, /*prefetch_issued=*/200);
     fill(40, 520, /*by_prefetch=*/true, /*demand_happened=*/true);
     // Latency = 520 - 200 = 320; source must be >= 320 cycles before the
     // demand (cycle 500) -> head 10 (cycle 100), not head 20 (cycle 460).
@@ -508,6 +510,48 @@ TEST_F(EntanglingTest, CommitTimeTrainingIgnoresSpeculativeEvents)
     pf->table().forEach([&](const EntangledEntry &) { ++entries; });
     EXPECT_EQ(entries, 0u);
     EXPECT_EQ(pf->analysis().pairsCreated, 0u);
+}
+
+TEST(EntanglingWrongPath, MissesWithoutMshrLeaveLiveMissesAlone)
+{
+    // Two MSHRs and a slow memory: two demand misses fill the MSHRs, and
+    // a storm of wrong-path misses finds none free. Those misses hold no
+    // MSHR, so no fill will ever retire them; if they were recorded as
+    // pending misses, the shadow state would grow without bound, and any
+    // wholesale prune would take the live demand misses with it.
+    sim::CacheConfig cfg;
+    cfg.sizeBytes = 32 * 1024;
+    cfg.ways = 8;
+    cfg.mshrEntries = 2;
+    cfg.pqEntries = 32;
+    sim::Cache l1i(cfg);
+    sim::Dram dram(200, 0);
+    l1i.setDram(&dram);
+    EntanglingPrefetcher pf(EntanglingConfig::preset4K());
+    l1i.attachPrefetcher(&pf);
+    check::Invariants inv;
+    pf.registerInvariants(inv);
+
+    const Addr a = 0x1000, b = 0x2000, c = 0x3000;
+    l1i.demandAccess(a, a << 6, 0);
+    l1i.tick(300);
+    // B misses 300 cycles after head A; its fill lands at 500.
+    l1i.demandAccess(b, b << 6, 300);
+    l1i.demandAccess(c, c << 6, 301);
+    ASSERT_EQ(l1i.freeMshrs(), 0u);
+    for (Addr i = 0; i < 120000; ++i) {
+        Addr line = 0x100000 + 2 * i;
+        l1i.speculativeAccess(line, line << 6, 302);
+    }
+    EXPECT_FALSE(inv.firstFailure().has_value());
+
+    // B's fill learns its pair: A ran 300 cycles before the 200-cycle
+    // miss, so A is the source.
+    l1i.tick(600);
+    EntangledEntry *src = pf.mutableTable().find(a);
+    ASSERT_NE(src, nullptr);
+    EXPECT_NE(src->dests.find(b), nullptr);
+    EXPECT_FALSE(inv.firstFailure().has_value());
 }
 
 } // namespace

@@ -138,6 +138,9 @@ TEST_P(EntanglingSweep, SurvivesRandomEventStream)
         op.hit = hit;
         op.hitWasPrefetch = hit && rng.chance(0.1);
         op.missLatePrefetch = !hit && rng.chance(0.1);
+        if (op.missLatePrefetch)
+            op.prefetchIssueCycle = now >= 150 ? now - 150 : 0;
+        op.holdsMshr = !hit;
         pf.onCacheOperate(op);
         if (!hit)
             outstanding.emplace_back(line, now);
@@ -157,8 +160,6 @@ TEST_P(EntanglingSweep, SurvivesRandomEventStream)
                 fill.evictedValid && rng.chance(0.3);
             pf.onCacheFill(fill);
         }
-        if (rng.chance(0.2))
-            pf.onPrefetchIssued(rng.below(4096), now);
         host.tick(now);
     }
 

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "util/bitops.hh"
+#include "util/flat_map.hh"
 #include "util/hash.hh"
 #include "util/histogram.hh"
 #include "util/lru.hh"
@@ -293,6 +296,81 @@ TEST(LruMap, CountsHitsAndMissesButNotClears)
     EXPECT_EQ(lru.size(), 0u);
     EXPECT_EQ(lru.evictions(), 0u); // clear() is not an eviction
     EXPECT_EQ(lru.hits(), 1u);      // history survives the clear
+}
+
+/** Random insert/overwrite/erase/find traffic, with occasional clears,
+ *  applied to a FlatMap and a std::unordered_map in lock step; after
+ *  every operation each key of the universe must agree. */
+template <typename Map>
+void
+runFlatMapDifferential(Map &flat, const std::vector<uint64_t> &universe,
+                       uint64_t seed, int ops)
+{
+    std::unordered_map<uint64_t, uint64_t> ref;
+    Rng rng(seed);
+    for (int i = 0; i < ops; ++i) {
+        uint64_t key = universe[rng.below(universe.size())];
+        uint64_t roll = rng.below(100);
+        if (roll < 50) {
+            uint64_t value = rng.next();
+            flat[key] = value;
+            ref[key] = value;
+        } else if (roll < 90) {
+            ASSERT_EQ(flat.erase(key), ref.erase(key) == 1) << "op " << i;
+        } else if (roll < 99) {
+            // operator[] on a missing key value-initialises it.
+            uint64_t &slot = flat[key];
+            ASSERT_EQ(slot, ref[key]) << "op " << i;
+        } else {
+            flat.clear();
+            ref.clear();
+        }
+        ASSERT_EQ(flat.size(), ref.size()) << "op " << i;
+        for (uint64_t k : universe) {
+            const uint64_t *found = flat.find(k);
+            auto it = ref.find(k);
+            ASSERT_EQ(found != nullptr, it != ref.end())
+                << "op " << i << " key " << k;
+            if (found != nullptr) {
+                ASSERT_EQ(*found, it->second)
+                    << "op " << i << " key " << k;
+            }
+        }
+    }
+}
+
+TEST(FlatMap, MatchesUnorderedMapAndGrows)
+{
+    util::FlatMap<uint64_t> flat(8);
+    std::vector<uint64_t> universe;
+    Rng keys(3);
+    for (int i = 0; i < 300; ++i)
+        universe.push_back(keys.next());
+    // Sequential line numbers, as the simulator's keys mostly are.
+    for (uint64_t line = 0x1000; line < 0x1000 + 100; ++line)
+        universe.push_back(line);
+    runFlatMapDifferential(flat, universe, 11, 6000);
+    EXPECT_GT(flat.capacity(), 8u);
+    EXPECT_GT(flat.capacity() * 3, flat.size() * 4);
+}
+
+/** Homes every key on its low byte, so whole families of keys collide
+ *  and the families at 0xFE/0xFF wrap round the end of the table into
+ *  the chains homed at slots 0 and 1. */
+struct LowByteHash
+{
+    uint64_t operator()(uint64_t key) const { return key & 0xFF; }
+};
+
+TEST(FlatMap, CollidingWrappedChainsSurviveBackwardShift)
+{
+    util::FlatMap<uint64_t, LowByteHash> flat(8);
+    std::vector<uint64_t> universe;
+    for (uint64_t i = 0; i < 16; ++i) {
+        for (uint64_t low : {0xFEull, 0xFFull, 0x00ull, 0x01ull})
+            universe.push_back((i << 8) | low);
+    }
+    runFlatMapDifferential(flat, universe, 5, 8000);
 }
 
 TEST(TablePrinter, AlignsColumns)
