@@ -188,7 +188,6 @@ class EntangledTable
      * runs, so the shadow set costs nothing when blame is off.
      */
     void enableGhost();
-    bool ghostEnabled() const { return ghost_ != nullptr; }
     /** Is @p line a destination whose entangled pair was evicted and not
      *  re-learned since? Always false until enableGhost(). */
     bool

@@ -42,12 +42,9 @@ cliUsage()
         "  --workload NAME       catalogue workload (default srv-1), 'all'\n"
         "                        to run the whole catalogue, or a trace\n"
         "                        file path (.trc, .champsimtrace[.xz|.gz])\n"
-        "  --trace FILE          replay an on-disk trace: a captured .trc\n"
-        "                        or a ChampSim .champsimtrace[.xz|.gz]\n"
-        "                        (equivalent to --workload FILE)\n"
         "  --suite-trace FILE    with --workload all: append this corpus\n"
         "                        trace to the batch catalogue (repeatable;\n"
-        "                        same formats as --trace). Each trace\n"
+        "                        same formats as --workload). Each trace\n"
         "                        passes the suite's >= 1 L1I MPKI\n"
         "                        qualification or is skipped with a note\n"
         "  --prefetcher ID       none|ideal|l1i-64kb|l1i-96kb|nextline|\n"
@@ -137,9 +134,6 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--workload") {
             if (auto v = value("--workload"))
                 opt.workload = *v;
-        } else if (arg == "--trace") {
-            if (auto v = value("--trace"))
-                opt.tracePath = *v;
         } else if (arg == "--suite-trace") {
             if (auto v = value("--suite-trace"))
                 opt.suiteTraces.push_back(*v);
@@ -334,13 +328,12 @@ runCli(const CliOptions &opt)
         break;
     }
 
-    if (!opt.suiteTraces.empty() &&
-        (opt.workload != "all" || !opt.tracePath.empty())) {
+    if (!opt.suiteTraces.empty() && opt.workload != "all") {
         std::fprintf(stderr, "error: --suite-trace needs --workload all "
-                             "(use --trace for a single replay)\n");
+                             "(use --workload FILE for a single replay)\n");
         return 2;
     }
-    if (opt.tracePath.empty() && opt.workload == "all") {
+    if (opt.workload == "all") {
         // Batch mode: the whole catalogue under one config, fanned out
         // across the exec thread pool.
         if (opt.wrongPath) {
@@ -436,22 +429,20 @@ runCli(const CliOptions &opt)
         opt.statsJsonPath.empty() ? nullptr : &profiler;
     auto run_started = std::chrono::steady_clock::now();
     {
-        // Resolve what to run. --trace FILE is sugar for --workload FILE;
-        // either way a recognized trace path (.trc, .champsimtrace[.xz|
-        // .gz]) becomes a trace-backed workload with the file's content
-        // digest as identity, and runs through the exact same runOne path
-        // as the synthetic catalogue — no hand-rolled replay loop that
-        // can drift from the runner.
-        const std::string &wanted =
-            !opt.tracePath.empty() ? opt.tracePath : opt.workload;
+        // Resolve what to run. A recognized trace path (.trc,
+        // .champsimtrace[.xz|.gz]) becomes a trace-backed workload with
+        // the file's content digest as identity, and runs through the
+        // exact same runOne path as the synthetic catalogue — no
+        // hand-rolled replay loop that can drift from the runner.
         trace::Workload chosen;
-        if (!opt.tracePath.empty() || trace::isTracePath(wanted)) {
+        if (trace::isTracePath(opt.workload)) {
             std::string trace_error;
-            if (!trace::tryTraceWorkload(wanted, chosen, &trace_error)) {
+            if (!trace::tryTraceWorkload(opt.workload, chosen,
+                                         &trace_error)) {
                 std::fprintf(stderr, "error: %s\n", trace_error.c_str());
                 return 2;
             }
-        } else if (!findWorkload(wanted, chosen)) {
+        } else if (!findWorkload(opt.workload, chosen)) {
             std::fprintf(stderr,
                          "error: unknown workload '%s' "
                          "(try --list-workloads)\n",

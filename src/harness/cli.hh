@@ -33,9 +33,6 @@ struct CliOptions
     /** Catalogue name, "all", or an on-disk trace path
      *  (.trc / .champsimtrace[.xz|.gz]). */
     std::string workload = "srv-1";
-    /** When set, replay this trace file (same formats as a trace-path
-     *  --workload; kept as a separate flag for compatibility). */
-    std::string tracePath;
     /** Corpus traces appended to the batch catalogue (--suite-trace,
      *  repeatable; needs --workload all). Each is admitted through the
      *  per-trace MPKI qualification (trace::traceQualifies); traces that

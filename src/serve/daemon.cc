@@ -44,6 +44,20 @@ responseHead(Request::Op op, const char *status)
     return json;
 }
 
+/** The "accepted" submit response. */
+std::string
+acceptedResponse(uint64_t id, const std::string &key, const char *served,
+                 const char *state)
+{
+    obs::JsonWriter json = responseHead(Request::Op::Submit, "accepted");
+    json.kv("job", id);
+    json.kv("key", key);
+    json.kv("served", served);
+    json.kv("state", state);
+    json.endObject();
+    return json.str();
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)
@@ -259,7 +273,7 @@ void
 Daemon::serveConnection(Connection &conn)
 {
     const int fd = conn.fd;
-    LineReader reader(fd);
+    LineReader reader(fd, kMaxRequestLine);
     std::string line;
     while (reader.readLine(line)) {
         requests_.fetch_add(1);
@@ -281,6 +295,12 @@ Daemon::serveConnection(Connection &conn)
         if (is_shutdown)
             break;
     }
+    if (reader.overflowed()) {
+        requests_.fetch_add(1);
+        invalid_.fetch_add(1);
+        sendLine(fd, invalidResponse(Request::Op::Stats,
+                                     "request line longer than 1 MiB"));
+    }
     // Mark the connection done before closing its fd: once closed the
     // number can be reused by another open, and stop() must never
     // shutdown() that.
@@ -294,101 +314,117 @@ Daemon::serveConnection(Connection &conn)
 void
 Daemon::workerLoop()
 {
-    while (std::optional<uint64_t> id = queue_.pop()) {
-        harness::RunJob run;
-        std::string key;
-        bool inject_crash = false;
-        uint64_t trace_id = 0;
-        uint64_t submit_us = 0;
-        uint64_t enqueue_us = 0;
+    while (std::optional<Work> work = queue_.pop()) {
         {
             std::lock_guard<std::mutex> lock(jobsMutex_);
-            auto it = jobs_.find(*id);
-            if (it == jobs_.end())
-                continue;
-            it->second.state = Job::State::Running;
-            run = it->second.run;
-            key = it->second.key;
-            inject_crash = it->second.injectCrash;
-            trace_id = it->second.traceId;
-            submit_us = it->second.submitUs;
-            enqueue_us = it->second.enqueueUs;
+            jobs_[work->id].state = Job::State::Running;
         }
 
         const uint64_t fork_start_us = obs::monotonicMicros();
         WorkerOutcome outcome =
-            runForkedJob(run, inject_crash, spans_ != nullptr);
+            runForkedJob(work->run, work->injectCrash, spans_ != nullptr);
         const uint64_t fork_end_us = obs::monotonicMicros();
-        double ms =
+        const double ms =
             static_cast<double>(fork_end_us - fork_start_us) / 1000.0;
-        {
-            std::lock_guard<std::recursive_mutex> lock(histMutex_);
-            requestWallMs_.record(static_cast<size_t>(ms));
-        }
-
-        if (outcome.ok && !inject_crash)
-            cache_.put(key, outcome.artifact);
-
-        if (outcome.ok)
-            simulated_.fetch_add(1);
-        else
-            failed_.fetch_add(1);
-        if (outcome.crashed)
-            workerCrashes_.fetch_add(1);
-
-        metrics_.record(outcome.ok ? MetricsWindow::Outcome::Simulated
-                                   : MetricsWindow::Outcome::Failed,
-                        ms);
 
         if (spans_ != nullptr) {
             // queued: admission push to worker pickup; forked: the
             // whole child lifetime; the child's own phase spans ride
-            // the preamble; request: submit to terminal state.
-            spans_->record({trace_id, "queued", enqueue_us,
-                            fork_start_us - enqueue_us, ""});
-            spans_->record({trace_id, "forked", fork_start_us,
+            // the preamble.
+            spans_->record({work->traceId, "queued", work->enqueueUs,
+                            fork_start_us - work->enqueueUs, ""});
+            spans_->record({work->traceId, "forked", fork_start_us,
                             fork_end_us - fork_start_us, ""});
-            spans_->recordChild(trace_id, outcome.childSpans);
-            const char *terminal = outcome.ok        ? "done"
-                                   : outcome.crashed ? "crashed"
-                                                     : "failed";
-            spans_->record({trace_id, "request", submit_us,
-                            fork_end_us - submit_us, terminal});
+            spans_->recordChild(work->traceId, outcome.childSpans);
         }
 
         if (outcome.ok) {
-            EIP_LOG_INFO("eipd", "job_done", obs::LogField("job", *id),
+            EIP_LOG_INFO("eipd", "job_done", obs::LogField("job", work->id),
                          obs::LogField("wall_ms", ms),
-                         obs::LogField("trace", trace_id));
+                         obs::LogField("trace", work->traceId));
         } else {
-            EIP_LOG_WARN("eipd", "job_failed", obs::LogField("job", *id),
+            EIP_LOG_WARN("eipd", "job_failed",
+                         obs::LogField("job", work->id),
                          obs::LogField("crashed", outcome.crashed),
                          obs::LogField("error", outcome.error),
-                         obs::LogField("trace", trace_id));
+                         obs::LogField("trace", work->traceId));
         }
 
-        std::lock_guard<std::mutex> lock(jobsMutex_);
-        Job &job = jobs_[*id];
-        if (outcome.ok) {
-            job.state = Job::State::Done;
-            job.artifact = std::move(outcome.artifact);
-        } else {
-            job.state = Job::State::Failed;
-            job.error = std::move(outcome.error);
-        }
+        // Into the cache before the job turns done, so a fetch after
+        // "done" finds the bytes (unless newer artifacts evicted them).
+        if (outcome.ok && !work->injectCrash)
+            cache_.put(work->key, std::move(outcome.artifact));
+        endRequest(*work,
+                   outcome.ok        ? Terminal::Done
+                   : outcome.crashed ? Terminal::Crashed
+                                     : Terminal::Failed,
+                   fork_end_us, ms, std::move(outcome.error));
+    }
+}
+
+void
+Daemon::endRequest(const Work &work, Terminal terminal, uint64_t end_us,
+                   double wall_ms, std::string error)
+{
+    // Every counter, sample and span first: a client that sees the
+    // terminal state sees its accounting too.
+    static constexpr const char *kSpanTerminals[] = {
+        "cache", "done", "failed", "crashed", "rejected"};
+    MetricsWindow::Outcome outcome = MetricsWindow::Outcome::Rejected;
+    switch (terminal) {
+      case Terminal::Cache:
+        servedCache_.fetch_add(1);
+        outcome = MetricsWindow::Outcome::Cache;
+        break;
+      case Terminal::Done:
+        simulated_.fetch_add(1);
+        outcome = MetricsWindow::Outcome::Simulated;
+        break;
+      case Terminal::Crashed:
+        workerCrashes_.fetch_add(1);
+        [[fallthrough]];
+      case Terminal::Failed:
+        failed_.fetch_add(1);
+        outcome = MetricsWindow::Outcome::Failed;
+        break;
+      case Terminal::Rejected:
+        break; // the queue counts its own refusals
+    }
+    // A rejected request never ran: the window sees it at 0 ms, the
+    // wall-time histogram not at all.
+    if (terminal != Terminal::Rejected) {
+        std::lock_guard<std::recursive_mutex> lock(histMutex_);
+        requestWallMs_.record(static_cast<size_t>(wall_ms));
+    }
+    metrics_.record(outcome, wall_ms);
+    if (spans_ != nullptr)
+        spans_->record({work.traceId, "request", work.submitUs,
+                        end_us - work.submitUs,
+                        kSpanTerminals[static_cast<size_t>(terminal)]});
+    if (terminal == Terminal::Rejected)
+        return;
+
+    std::lock_guard<std::mutex> lock(jobsMutex_);
+    Job &job = jobs_[work.id];
+    job.state = terminal == Terminal::Cache || terminal == Terminal::Done
+                    ? Job::State::Done
+                    : Job::State::Failed;
+    job.servedFromCache = terminal == Terminal::Cache;
+    job.key = work.key;
+    job.error = std::move(error);
+    terminalIds_.push_back(work.id);
+    if (terminalIds_.size() > kTerminalRecords) {
+        jobs_.erase(terminalIds_.front());
+        terminalIds_.pop_front();
     }
 }
 
 const char *
 Daemon::stateName(Job::State state)
 {
-    switch (state) {
-      case Job::State::Queued: return "queued";
-      case Job::State::Running: return "running";
-      case Job::State::Done: return "done";
-      case Job::State::Failed: return "failed";
-    }
-    return "unknown";
+    static constexpr const char *kNames[] = {"queued", "running", "done",
+                                             "failed"};
+    return kNames[static_cast<size_t>(state)];
 }
 
 std::string
@@ -407,20 +443,14 @@ Daemon::dispatch(const Request &request)
       case Request::Op::Submit:
         return handleSubmit(request.run);
       case Request::Op::Status:
-        return handleStatus(request.job);
       case Request::Op::Fetch:
-        return handleFetch(request.job);
+        return handleJob(request.op, request.job);
       case Request::Op::Stats:
         return statsJson();
       case Request::Op::Metrics:
         return metricsJson();
-      case Request::Op::Spans: {
-          if (spans_ == nullptr)
-              return invalidResponse(request.op,
-                                     "span collection is disabled "
-                                     "(daemon started with --span-limit 0)");
-          return spansJson();
-      }
+      case Request::Op::Spans:
+        return spansJson();
       case Request::Op::Shutdown: {
           requestStop();
           EIP_LOG_INFO("eipd", "shutdown_requested");
@@ -438,119 +468,76 @@ Daemon::handleSubmit(const RunRequest &run)
     submits_.fetch_add(1);
 
     trace::Workload workload;
-    if (!harness::findWorkload(run.workload, workload)) {
+    std::string invalid;
+    if (!harness::findWorkload(run.workload, workload))
+        invalid = "unknown workload '" + run.workload + "'";
+    else if (!isCacheConfigId(run.prefetcher) &&
+             !prefetch::knownPrefetcherId(run.prefetcher))
+        invalid = "unknown prefetcher '" + run.prefetcher + "'";
+    else if (!prefetch::knownPrefetcherId(run.dataPrefetcher))
+        invalid = "unknown data prefetcher '" + run.dataPrefetcher + "'";
+    if (!invalid.empty()) {
         invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Submit,
-                               "unknown workload '" + run.workload + "'");
-    }
-    if (!isCacheConfigId(run.prefetcher) &&
-        !prefetch::knownPrefetcherId(run.prefetcher)) {
-        invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Submit,
-                               "unknown prefetcher '" + run.prefetcher +
-                                   "'");
-    }
-    if (!prefetch::knownPrefetcherId(run.dataPrefetcher)) {
-        invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Submit,
-                               "unknown data prefetcher '" +
-                                   run.dataPrefetcher + "'");
+        return invalidResponse(Request::Op::Submit, invalid);
     }
 
-    harness::RunSpec spec = toRunSpec(run);
-    const std::string key = harness::resultCacheKey(
-        gitDescribe_, sim::SimConfig{}, spec, workload);
-
+    Work work;
+    work.run.workload = std::move(workload);
+    work.run.spec = toRunSpec(run);
+    work.key = harness::resultCacheKey(gitDescribe_, sim::SimConfig{},
+                                       work.run.spec, work.run.workload);
+    work.injectCrash = run.injectCrash;
     // A trace opens only once the request is semantically valid — the
     // invalid paths above never become request spans, so closed root
     // spans reconcile exactly against the outcome counters.
-    const uint64_t submit_us = obs::monotonicMicros();
-    const uint64_t trace_id = spans_ != nullptr ? spans_->newTrace() : 0;
+    work.submitUs = obs::monotonicMicros();
+    work.traceId = spans_ != nullptr ? spans_->newTrace() : 0;
+    work.id = nextJobId_.fetch_add(1);
 
     // Cache probe first: a hit answers without consuming queue space or
     // forking a worker. Fault-injected jobs never touch the cache in
     // either direction — their artifacts are garbage by design.
-    if (!run.injectCrash) {
-        std::optional<std::string> artifact = cache_.get(key);
+    if (!work.injectCrash) {
+        const bool hit = cache_.lookup(work.key);
         const uint64_t probe_end_us = obs::monotonicMicros();
         if (spans_ != nullptr)
-            spans_->record({trace_id, "cache_lookup", submit_us,
-                            probe_end_us - submit_us, ""});
-        if (artifact) {
-            servedCache_.fetch_add(1);
-            const double ms =
-                static_cast<double>(probe_end_us - submit_us) / 1000.0;
-            metrics_.record(MetricsWindow::Outcome::Cache, ms);
-            {
-                std::lock_guard<std::recursive_mutex> lock(histMutex_);
-                requestWallMs_.record(static_cast<size_t>(ms));
-            }
-            if (spans_ != nullptr)
-                spans_->record({trace_id, "request", submit_us,
-                                probe_end_us - submit_us, "cache"});
-            uint64_t id;
-            {
-                std::lock_guard<std::mutex> lock(jobsMutex_);
-                id = nextJobId_++;
-                Job &job = jobs_[id];
-                job.key = key;
-                job.traceId = trace_id;
-                job.submitUs = submit_us;
-                job.state = Job::State::Done;
-                job.servedFromCache = true;
-                job.artifact = std::move(*artifact);
-            }
+            spans_->record({work.traceId, "cache_lookup", work.submitUs,
+                            probe_end_us - work.submitUs, ""});
+        if (hit) {
+            endRequest(work, Terminal::Cache, probe_end_us,
+                       static_cast<double>(probe_end_us - work.submitUs) /
+                           1000.0);
             EIP_LOG_DEBUG("eipd", "cache_served",
-                          obs::LogField("job", id),
-                          obs::LogField("key", key),
-                          obs::LogField("trace", trace_id));
-            obs::JsonWriter json = responseHead(Request::Op::Submit,
-                                                "accepted");
-            json.kv("job", id);
-            json.kv("key", key);
-            json.kv("served", "cache");
-            json.kv("state", "done");
-            json.endObject();
-            return json.str();
+                          obs::LogField("job", work.id),
+                          obs::LogField("key", work.key),
+                          obs::LogField("trace", work.traceId));
+            return acceptedResponse(work.id, work.key, "cache", "done");
         }
     }
 
-    uint64_t id;
+    work.enqueueUs = obs::monotonicMicros();
+    const uint64_t id = work.id;
+    const uint64_t trace_id = work.traceId;
+    const std::string key = work.key;
+    bool admitted;
     {
+        // Pushed under jobsMutex_: the worker that pops this work marks
+        // its record Running, so the record exists before it can look.
         std::lock_guard<std::mutex> lock(jobsMutex_);
-        id = nextJobId_++;
-        Job &job = jobs_[id];
-        job.run.workload = workload;
-        job.run.spec = spec;
-        job.key = key;
-        job.injectCrash = run.injectCrash;
-        job.traceId = trace_id;
-        job.submitUs = submit_us;
-        // Stamped before tryPush: a worker may pop the id the moment
-        // the push lands, so the job record must already be complete.
-        job.enqueueUs = obs::monotonicMicros();
+        admitted = queue_.tryPush(std::move(work));
+        if (admitted)
+            jobs_[id].key = key;
     }
-    if (!queue_.tryPush(id)) {
-        {
-            std::lock_guard<std::mutex> lock(jobsMutex_);
-            jobs_.erase(id);
-        }
-        metrics_.record(MetricsWindow::Outcome::Rejected, 0.0);
-        if (spans_ != nullptr)
-            spans_->record({trace_id, "request", submit_us,
-                            obs::monotonicMicros() - submit_us,
-                            "rejected"});
+    if (!admitted) {
+        endRequest(work, Terminal::Rejected, obs::monotonicMicros(), 0.0);
         EIP_LOG_WARN("eipd", "rejected",
                      obs::LogField("workload", run.workload),
                      obs::LogField("queue_capacity",
-                                   static_cast<uint64_t>(
-                                       options_.queueDepth)),
-                     obs::LogField("trace", trace_id));
-        obs::JsonWriter json = responseHead(Request::Op::Submit,
-                                            "rejected");
+                                   static_cast<uint64_t>(options_.queueDepth)),
+                     obs::LogField("trace", work.traceId));
+        obs::JsonWriter json = responseHead(Request::Op::Submit, "rejected");
         json.kv("error", "queue full");
-        json.kv("queue_capacity", static_cast<uint64_t>(
-                                      options_.queueDepth));
+        json.kv("queue_capacity", static_cast<uint64_t>(options_.queueDepth));
         json.endObject();
         return json.str();
     }
@@ -558,65 +545,43 @@ Daemon::handleSubmit(const RunRequest &run)
     EIP_LOG_DEBUG("eipd", "enqueued", obs::LogField("job", id),
                   obs::LogField("workload", run.workload),
                   obs::LogField("trace", trace_id));
-    obs::JsonWriter json = responseHead(Request::Op::Submit, "accepted");
-    json.kv("job", id);
-    json.kv("key", key);
-    json.kv("served", "queue");
-    json.kv("state", "queued");
-    json.endObject();
-    return json.str();
+    return acceptedResponse(id, key, "queue", "queued");
 }
 
 std::string
-Daemon::handleStatus(uint64_t id)
+Daemon::handleJob(Request::Op op, uint64_t id)
 {
-    std::lock_guard<std::mutex> lock(jobsMutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Status,
-                               "unknown job " + std::to_string(id));
+    Job job;
+    {
+        std::lock_guard<std::mutex> lock(jobsMutex_);
+        auto it = jobs_.find(id);
+        if (it == jobs_.end()) {
+            invalid_.fetch_add(1);
+            return invalidResponse(op, "unknown job " + std::to_string(id));
+        }
+        job = it->second;
     }
-    const Job &job = it->second;
-    obs::JsonWriter json = responseHead(Request::Op::Status, "ok");
+    // A fetch of a done job reads the bytes from their one home.
+    std::optional<std::string> artifact;
+    if (op == Request::Op::Fetch && job.state == Job::State::Done) {
+        artifact = cache_.peek(job.key);
+        if (!artifact) {
+            invalid_.fetch_add(1);
+            return invalidResponse(op, "artifact evicted; resubmit");
+        }
+    }
+    obs::JsonWriter json = responseHead(op, "ok");
     json.kv("job", id);
     json.kv("state", stateName(job.state));
     json.kv("served_from_cache", job.servedFromCache);
-    if (job.state == Job::State::Failed)
-        json.kv("error", job.error);
-    json.endObject();
-    return json.str();
-}
-
-std::string
-Daemon::handleFetch(uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(jobsMutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        invalid_.fetch_add(1);
-        return invalidResponse(Request::Op::Fetch,
-                               "unknown job " + std::to_string(id));
-    }
-    const Job &job = it->second;
-    obs::JsonWriter json = responseHead(Request::Op::Fetch, "ok");
-    json.kv("job", id);
-    json.kv("state", stateName(job.state));
-    json.kv("served_from_cache", job.servedFromCache);
-    switch (job.state) {
-      case Job::State::Done:
+    if (artifact) {
         json.kv("key", job.key);
         // As a JSON *string* value: escape/unescape round-trips exactly,
         // so the client recovers the artifact byte for byte (including
         // the trailing newline every artifact file carries).
-        json.kv("artifact", job.artifact);
-        break;
-      case Job::State::Failed:
+        json.kv("artifact", *artifact);
+    } else if (job.state == Job::State::Failed) {
         json.kv("error", job.error);
-        break;
-      case Job::State::Queued:
-      case Job::State::Running:
-        break;
     }
     json.endObject();
     return json.str();
@@ -679,7 +644,9 @@ std::string
 Daemon::spansJson()
 {
     if (spans_ == nullptr)
-        return {};
+        return invalidResponse(Request::Op::Spans,
+                               "span collection is disabled "
+                               "(daemon started with --span-limit 0)");
     std::string doc = spans_->toJson({{"tool", "eipd"},
                                       {"git_describe", gitDescribe_}});
     // One line on the wire, like every other response.

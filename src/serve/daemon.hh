@@ -10,11 +10,13 @@
  * the daemon down.
  *
  * Completed artifacts land in a content-addressed ResultCache keyed by
- * harness::resultCacheKey; a resubmitted request is answered from the
- * cache without forking, byte-identical to the cold run. Everything the
- * daemon does is observable: cache, queue and failure counters live in
- * an obs::CounterRegistry served by the "stats" op as one eip-serve/v1
- * document.
+ * harness::resultCacheKey, and live only there: a job record keeps the
+ * key, fetch reads the bytes by it, and terminal records retire after
+ * kTerminalRecords newer ones. A resubmitted request is answered from
+ * the cache without forking, byte-identical to the cold run.
+ * Everything the daemon does is observable: cache, queue and failure
+ * counters live in an obs::CounterRegistry served by the "stats" op as
+ * one eip-serve/v1 document.
  */
 
 #ifndef EIP_SERVE_DAEMON_HH
@@ -23,6 +25,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -83,8 +86,6 @@ class Daemon
      *  the socket. Idempotent. */
     void stop();
 
-    const DaemonOptions &options() const { return options_; }
-
     /** Snapshot of every registered counter (tests, benches). */
     obs::CounterDump statsDump();
 
@@ -95,22 +96,31 @@ class Daemon
     std::string metricsJson();
 
     /** The eip-trace/v1 serve span document (one line, no trailing
-     *  newline), or empty when spans are disabled. */
+     *  newline), or the invalid answer when spans are disabled. */
     std::string spansJson();
 
-    /** The live span collector (tests); nullptr when disabled. */
-    obs::SpanCollector *spans() { return spans_.get(); }
-
   private:
-    /** One tracked submit and what became of it. */
-    struct Job
+    /** Terminal job records kept for status/fetch, retired FIFO in
+     *  completion order; an older id answers "unknown job". */
+    static constexpr size_t kTerminalRecords = 4096;
+
+    /** One admitted submit: everything a worker needs to run it and
+     *  end the request. Travels through the admission queue. */
+    struct Work
     {
+        uint64_t id = 0;
         harness::RunJob run;
         std::string key;
         bool injectCrash = false;
         uint64_t traceId = 0;   ///< span trace id (0 when spans off)
         uint64_t submitUs = 0;  ///< request-received monotonic time
         uint64_t enqueueUs = 0; ///< admission-queue push time
+    };
+
+    /** What status and fetch report about one submit. The artifact
+     *  bytes live only in cache_, under key. */
+    struct Job
+    {
         enum class State
         {
             Queued,
@@ -119,8 +129,19 @@ class Daemon
             Failed,
         } state = State::Queued;
         bool servedFromCache = false;
-        std::string artifact;
+        std::string key;
         std::string error;
+    };
+
+    /** How a request ended. In the order of endRequest's span
+     *  terminal names. */
+    enum class Terminal
+    {
+        Cache,
+        Done,
+        Failed,
+        Crashed,
+        Rejected,
     };
 
     /** One client connection and the thread serving it. */
@@ -137,11 +158,14 @@ class Daemon
     void reapConnections();
     void serveConnection(Connection &conn);
     void workerLoop();
+    void endRequest(const Work &work, Terminal terminal, uint64_t end_us,
+                    double wall_ms, std::string error = {});
 
     std::string dispatch(const Request &request);
     std::string handleSubmit(const RunRequest &run);
-    std::string handleStatus(uint64_t id);
-    std::string handleFetch(uint64_t id);
+    /** The status op, or the fetch op (which adds a done job's
+     *  artifact, read from cache_). */
+    std::string handleJob(Request::Op op, uint64_t id);
     std::string invalidResponse(Request::Op op, const std::string &error);
 
     DaemonOptions options_;
@@ -160,12 +184,13 @@ class Daemon
     std::condition_variable stopCv_;
     bool stopRequested_ = false;
 
-    BoundedQueue<uint64_t> queue_;
+    BoundedQueue<Work> queue_;
     ResultCache cache_;
 
     std::mutex jobsMutex_;
     std::unordered_map<uint64_t, Job> jobs_;
-    uint64_t nextJobId_ = 1;
+    std::deque<uint64_t> terminalIds_; ///< retirement order of jobs_
+    std::atomic<uint64_t> nextJobId_{1};
 
     std::atomic<uint64_t> requests_{0};
     std::atomic<uint64_t> invalid_{0};

@@ -49,24 +49,14 @@ MetricsWindow::view()
 
     View v;
     v.windowSeconds = windowUs_ / 1000000ull;
+    // Indexed by Outcome.
+    uint64_t *counts[] = {&v.cacheHits, &v.simulated, &v.failed,
+                          &v.rejected};
     std::vector<double> latencies;
     latencies.reserve(samples_.size());
     for (const Sample &s : samples_) {
         ++v.requests;
-        switch (s.outcome) {
-        case Outcome::Cache:
-            ++v.cacheHits;
-            break;
-        case Outcome::Simulated:
-            ++v.simulated;
-            break;
-        case Outcome::Failed:
-            ++v.failed;
-            break;
-        case Outcome::Rejected:
-            ++v.rejected;
-            break;
-        }
+        ++*counts[static_cast<size_t>(s.outcome)];
         if (s.outcome != Outcome::Rejected)
             latencies.push_back(s.latencyMs);
     }

@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <type_traits>
+
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 
@@ -7,52 +9,38 @@ namespace eip::serve {
 
 namespace {
 
-/** Fetch an object member as an unsigned integer; false (with a
- *  diagnostic) on wrong types, negatives, or non-integral values. */
+/** Read the optional member @p name into @p out, keeping the default
+ *  when it is absent. False with a diagnostic on a mistyped value;
+ *  integers must be non-negative and integral. */
+template <typename T>
 bool
-readU64(const obs::JsonValue &object, const std::string &name, uint64_t &out,
-        std::string &error)
+readField(const obs::JsonValue &object, const std::string &name, T &out,
+          std::string &error)
 {
     const obs::JsonValue *member = object.find(name);
     if (!member)
-        return true; // optional; keep the default
-    if (!member->isNumber() || member->number < 0 ||
-        member->number != static_cast<double>(member->asU64())) {
+        return true;
+    if constexpr (std::is_same_v<T, uint64_t>) {
+        if (member->isNumber() && member->number >= 0 &&
+            member->number == static_cast<double>(member->asU64())) {
+            out = member->asU64();
+            return true;
+        }
         error = "field '" + name + "' must be a non-negative integer";
-        return false;
-    }
-    out = member->asU64();
-    return true;
-}
-
-bool
-readString(const obs::JsonValue &object, const std::string &name,
-           std::string &out, std::string &error)
-{
-    const obs::JsonValue *member = object.find(name);
-    if (!member)
-        return true;
-    if (member->type != obs::JsonValue::Type::String) {
-        error = "field '" + name + "' must be a string";
-        return false;
-    }
-    out = member->string;
-    return true;
-}
-
-bool
-readBool(const obs::JsonValue &object, const std::string &name, bool &out,
-         std::string &error)
-{
-    const obs::JsonValue *member = object.find(name);
-    if (!member)
-        return true;
-    if (member->type != obs::JsonValue::Type::Bool) {
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (member->type == obs::JsonValue::Type::Bool) {
+            out = member->boolean;
+            return true;
+        }
         error = "field '" + name + "' must be a boolean";
-        return false;
+    } else {
+        if (member->type == obs::JsonValue::Type::String) {
+            out = member->string;
+            return true;
+        }
+        error = "field '" + name + "' must be a string";
     }
-    out = member->boolean;
-    return true;
+    return false;
 }
 
 } // namespace
@@ -173,17 +161,14 @@ parseRequest(const std::string &line, Request &out, std::string &error)
 
     switch (parsed.op) {
       case Request::Op::Status:
-      case Request::Op::Fetch: {
-          const obs::JsonValue *job = doc->find("job");
-          if (!job) {
-              error = std::string(opName(parsed.op)) +
-                      " requires a 'job' field";
-              return false;
-          }
-          if (!readU64(*doc, "job", parsed.job, error))
-              return false;
-          break;
-      }
+      case Request::Op::Fetch:
+        if (!doc->find("job")) {
+            error = std::string(opName(parsed.op)) + " requires a 'job' field";
+            return false;
+        }
+        if (!readField(*doc, "job", parsed.job, error))
+            return false;
+        break;
       case Request::Op::Submit: {
           const obs::JsonValue *run = doc->find("run");
           if (!run || run->type != obs::JsonValue::Type::Object) {
@@ -191,20 +176,19 @@ parseRequest(const std::string &line, Request &out, std::string &error)
               return false;
           }
           RunRequest &r = parsed.run;
-          if (!readString(*run, "workload", r.workload, error) ||
-              !readString(*run, "prefetcher", r.prefetcher, error) ||
-              !readString(*run, "data_prefetcher", r.dataPrefetcher,
-                          error) ||
-              !readU64(*run, "instructions", r.instructions, error) ||
-              !readU64(*run, "warmup", r.warmup, error) ||
-              !readBool(*run, "physical_l1i", r.physical, error) ||
-              !readU64(*run, "sample_interval", r.sampleInterval, error) ||
-              !readString(*run, "sample_mode", r.sampleMode, error) ||
-              !readU64(*run, "sample_window", r.sampleWindow, error) ||
-              !readU64(*run, "sample_period", r.samplePeriod, error) ||
-              !readU64(*run, "sample_seed", r.sampleSeed, error) ||
-              !readU64(*run, "sample_warm", r.sampleWarm, error) ||
-              !readBool(*run, "inject_crash", r.injectCrash, error)) {
+          if (!readField(*run, "workload", r.workload, error) ||
+              !readField(*run, "prefetcher", r.prefetcher, error) ||
+              !readField(*run, "data_prefetcher", r.dataPrefetcher, error) ||
+              !readField(*run, "instructions", r.instructions, error) ||
+              !readField(*run, "warmup", r.warmup, error) ||
+              !readField(*run, "physical_l1i", r.physical, error) ||
+              !readField(*run, "sample_interval", r.sampleInterval, error) ||
+              !readField(*run, "sample_mode", r.sampleMode, error) ||
+              !readField(*run, "sample_window", r.sampleWindow, error) ||
+              !readField(*run, "sample_period", r.samplePeriod, error) ||
+              !readField(*run, "sample_seed", r.sampleSeed, error) ||
+              !readField(*run, "sample_warm", r.sampleWarm, error) ||
+              !readField(*run, "inject_crash", r.injectCrash, error)) {
               return false;
           }
           if (r.workload.empty()) {

@@ -16,12 +16,18 @@
 #ifndef EIP_SERVE_PROTOCOL_HH
 #define EIP_SERVE_PROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "harness/runner.hh"
 
 namespace eip::serve {
+
+/** Longest request line eipd buffers, newline excluded. A longer one
+ *  gets one invalid answer and the connection closes. Responses are
+ *  uncapped: a fetch carries a whole artifact. */
+constexpr size_t kMaxRequestLine = 1u << 20;
 
 /** The run vocabulary of one submit request (eip-run/v1 field names). */
 struct RunRequest

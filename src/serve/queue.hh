@@ -31,9 +31,10 @@ class BoundedQueue
     }
 
     /** Admit @p value unless the queue is full (or closed). Never
-     *  blocks: a false return is the backpressure signal. */
+     *  blocks: a false return is the backpressure signal, and leaves
+     *  @p value with the caller, unmoved. */
     bool
-    tryPush(T value)
+    tryPush(T &&value)
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);

@@ -9,11 +9,18 @@ ResultCache::ResultCache(uint64_t capacity_bytes)
 {
 }
 
-std::optional<std::string>
-ResultCache::get(const std::string &key)
+bool
+ResultCache::lookup(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (std::string *artifact = artifacts_.get(key))
+    return artifacts_.get(key) != nullptr;
+}
+
+std::optional<std::string>
+ResultCache::peek(const std::string &key) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const std::string *artifact = artifacts_.peek(key))
         return *artifact;
     return std::nullopt;
 }
@@ -59,13 +66,6 @@ ResultCache::bytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return artifacts_.weight();
-}
-
-uint64_t
-ResultCache::capacityBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return artifacts_.capacity();
 }
 
 void

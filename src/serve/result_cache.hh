@@ -33,8 +33,13 @@ class ResultCache
   public:
     explicit ResultCache(uint64_t capacity_bytes);
 
-    /** The cached artifact for @p key (refreshing its recency), if any. */
-    std::optional<std::string> get(const std::string &key);
+    /** Whether @p key is resident, counting one hit or miss and
+     *  refreshing its recency: the submit probe. Copies nothing. */
+    bool lookup(const std::string &key);
+
+    /** A copy of the artifact under @p key, if still resident, without
+     *  counting a lookup or refreshing its recency: the fetch read. */
+    std::optional<std::string> peek(const std::string &key) const;
 
     /** Store @p artifact under @p key, evicting least-recently-served
      *  entries once the byte budget is exceeded. */
@@ -46,7 +51,6 @@ class ResultCache
     uint64_t entries() const;
     /** Current artifact bytes resident. */
     uint64_t bytes() const;
-    uint64_t capacityBytes() const;
 
     /** Register <prefix>.hits/.misses/.evictions/.entries/.bytes with
      *  @p registry — the same eviction-stat vocabulary as

@@ -113,13 +113,22 @@ sendLine(int fd, const std::string &line)
 bool
 LineReader::readLine(std::string &out)
 {
+    size_t scanned = 0; // bytes already searched for the newline
     for (;;) {
-        size_t newline = buffer_.find('\n');
+        size_t newline = buffer_.find('\n', scanned);
+        const size_t length =
+            newline == std::string::npos ? buffer_.size() : newline;
+        if (maxLine_ != 0 && length > maxLine_) {
+            overflowed_ = true;
+            buffer_.clear();
+            return false;
+        }
         if (newline != std::string::npos) {
             out.assign(buffer_, 0, newline);
             buffer_.erase(0, newline + 1);
             return true;
         }
+        scanned = buffer_.size();
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0) {

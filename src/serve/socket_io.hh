@@ -10,6 +10,7 @@
 #ifndef EIP_SERVE_SOCKET_IO_HH
 #define EIP_SERVE_SOCKET_IO_HH
 
+#include <cstddef>
 #include <string>
 
 namespace eip::serve {
@@ -30,15 +31,24 @@ bool sendLine(int fd, const std::string &line);
 class LineReader
 {
   public:
-    explicit LineReader(int fd) : fd_(fd) {}
+    /** @p max_line caps a line's length in bytes; 0 is no cap. */
+    explicit LineReader(int fd, size_t max_line = 0)
+        : fd_(fd), maxLine_(max_line) {}
 
-    /** Next newline-terminated line (newline stripped). False on EOF
-     *  or a read error; a trailing unterminated fragment is dropped
-     *  (a half-written request is not a request). */
+    /** Next newline-terminated line (newline stripped). False on EOF,
+     *  a read error, or a line past the cap (then overflowed()); a
+     *  trailing unterminated fragment is dropped (a half-written
+     *  request is not a request). */
     bool readLine(std::string &out);
+
+    /** A readLine() stopped at the cap; the stream has lost its
+     *  framing, so the caller should hang up. */
+    bool overflowed() const { return overflowed_; }
 
   private:
     int fd_;
+    size_t maxLine_;
+    bool overflowed_ = false;
     std::string buffer_;
 };
 

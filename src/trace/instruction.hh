@@ -23,14 +23,6 @@ enum class BranchType : uint8_t
     Return,        ///< return
 };
 
-/** True for branch kinds whose taken target is encoded in the instruction. */
-constexpr bool
-isDirectBranch(BranchType t)
-{
-    return t == BranchType::Conditional || t == BranchType::DirectJump ||
-           t == BranchType::DirectCall;
-}
-
 /** True for call-type branches (push a return address). */
 constexpr bool
 isCall(BranchType t)

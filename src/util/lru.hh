@@ -50,6 +50,15 @@ class LruMap
         return &it->second->value;
     }
 
+    /** Value for @p key, or nullptr, without counting a hit or miss
+     *  or refreshing its recency: a read that is not a lookup. */
+    const Value *
+    peek(const Key &key) const
+    {
+        auto it = index_.find(key);
+        return it == index_.end() ? nullptr : &it->second->value;
+    }
+
     /** Insert or replace @p key (becomes most-recently-used), then
      *  evict least-recently-used entries while over capacity. */
     void

@@ -79,6 +79,7 @@ TEST(Cli, ErrorsAreReportedNotFatal)
     EXPECT_FALSE(parse({"--instructions", "0"}).error.empty());
     EXPECT_FALSE(parse({"--jobs", "many"}).error.empty());
     EXPECT_FALSE(parse({"--jobs", "9999"}).error.empty()); // > 4096
+    EXPECT_FALSE(parse({"--trace", "x.trc"}).error.empty()); // use --workload
 }
 
 TEST(Cli, JobsFlagParses)
@@ -86,12 +87,6 @@ TEST(Cli, JobsFlagParses)
     EXPECT_EQ(parse({}).jobs, 0u); // 0 = auto (EIP_JOBS or all cores)
     EXPECT_EQ(parse({"--jobs", "4"}).jobs, 4u);
     EXPECT_EQ(parse({"--jobs", "1"}).jobs, 1u);
-}
-
-TEST(Cli, TraceOptionParses)
-{
-    CliOptions opt = parse({"--trace", "/tmp/foo.trc"});
-    EXPECT_EQ(opt.tracePath, "/tmp/foo.trc");
 }
 
 TEST(Cli, SuiteTraceAccumulates)
@@ -134,7 +129,7 @@ TEST(Cli, UsageMentionsAllFlags)
 {
     std::string usage = cliUsage();
     for (const char *flag :
-         {"--workload", "--trace", "--suite-trace", "--prefetcher",
+         {"--workload", "--suite-trace", "--prefetcher",
           "--instructions",
           "--warmup", "--jobs", "--physical", "--wrong-path", "--json",
           "--trace-out", "--trace-events", "--trace-limit",

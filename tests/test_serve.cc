@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -93,17 +95,32 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer)
 TEST(ResultCache, HitMissAndByteWeightedEviction)
 {
     serve::ResultCache cache(100);
-    EXPECT_FALSE(cache.get("a").has_value());
+    EXPECT_FALSE(cache.lookup("a"));
     cache.put("a", std::string(60, 'x'));
     cache.put("b", std::string(60, 'y'));
     // 120 bytes > 100: "a" (least recently served) is evicted.
     EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.get("a").has_value());
-    EXPECT_EQ(cache.get("b").value(), std::string(60, 'y'));
+    EXPECT_FALSE(cache.lookup("a"));
+    EXPECT_TRUE(cache.lookup("b"));
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_EQ(cache.bytes(), 60u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(ResultCache, PeekNeitherCountsNorRefreshes)
+{
+    serve::ResultCache cache(130);
+    cache.put("a", std::string(60, 'x'));
+    cache.put("b", std::string(60, 'y'));
+    EXPECT_EQ(cache.peek("a").value(), std::string(60, 'x'));
+    EXPECT_FALSE(cache.peek("c").has_value());
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    // "a" is still the least recently served: the peek did not touch it.
+    cache.put("c", std::string(60, 'z'));
+    EXPECT_FALSE(cache.peek("a").has_value());
+    EXPECT_TRUE(cache.peek("b").has_value());
 }
 
 TEST(ResultCache, RegisterStatsUsesSharedEvictionVocabulary)
@@ -293,6 +310,10 @@ TEST(ServeDaemon, ColdRunThenCacheServedByteIdentical)
     EXPECT_EQ(stats.counter("serve.served_cache").value(), 1u);
     EXPECT_EQ(stats.counter("serve.cache.entries").value(), 1u);
     EXPECT_EQ(stats.counter("serve.failed").value(), 0u);
+    // Two submit probes, one miss and one hit; the fetches read the
+    // cache without counting a lookup.
+    EXPECT_EQ(stats.counter("serve.cache.hits").value(), 1u);
+    EXPECT_EQ(stats.counter("serve.cache.misses").value(), 1u);
 
     daemon.stop();
 }
@@ -365,8 +386,9 @@ TEST(ServeDaemon, InvalidRequestsGetStructuredErrors)
 TEST(ServeDaemon, DeeplyNestedRequestLineIsRefused)
 {
     // Requests are parsed on the connection thread, outside fork
-    // isolation: a 2 MB line of '[' must get an invalid answer, not
-    // overflow that thread's stack and take the daemon down.
+    // isolation: the longest line the daemon reads, all '[', must get
+    // an invalid answer, not overflow that thread's stack and take the
+    // daemon down.
     serve::DaemonOptions options;
     options.socketPath = testSocket("nested");
     serve::Daemon daemon(options);
@@ -375,7 +397,7 @@ TEST(ServeDaemon, DeeplyNestedRequestLineIsRefused)
 
     int fd = serve::connectUnix(options.socketPath, &error);
     ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(serve::sendLine(fd, std::string(2u << 20, '[')));
+    ASSERT_TRUE(serve::sendLine(fd, std::string(serve::kMaxRequestLine, '[')));
     serve::LineReader reader(fd);
     std::string response;
     ASSERT_TRUE(reader.readLine(response));
@@ -390,6 +412,143 @@ TEST(ServeDaemon, DeeplyNestedRequestLineIsRefused)
     std::string stats_line;
     ASSERT_TRUE(client.stats(stats_line, &error)) << error;
     EXPECT_GE(daemon.statsDump().counter("serve.invalid").value(), 1u);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, OverlongRequestLineIsAnsweredThenHungUp)
+{
+    // A peer that never sends a newline must not make the daemon buffer
+    // without bound: past the cap it answers invalid and hangs up.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("linecap");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    int fd = serve::connectUnix(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    // Without the cap the answer never comes; time out instead of
+    // hanging the suite.
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    // 2 MiB, no newline. The daemon may hang up before all of it is
+    // sent; MSG_NOSIGNAL turns that into an error return.
+    const std::string flood(2u << 20, 'x');
+    size_t sent = 0;
+    while (sent < flood.size()) {
+        ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                           MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<size_t>(n);
+    }
+    serve::LineReader reader(fd);
+    std::string response;
+    ASSERT_TRUE(reader.readLine(response));
+    EXPECT_FALSE(reader.readLine(response)); // and then it hung up
+    ::close(fd);
+    std::optional<obs::JsonValue> doc = obs::parseJson(response);
+    ASSERT_TRUE(doc.has_value()) << response;
+    EXPECT_EQ(doc->find("status")->string, "invalid");
+    EXPECT_NE(response.find("request line longer than"), std::string::npos);
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    std::string stats_line;
+    ASSERT_TRUE(client.stats(stats_line, &error)) << error;
+    EXPECT_EQ(daemon.statsDump().counter("serve.invalid").value(), 1u);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, FetchOfEvictedArtifactAsksForResubmit)
+{
+    // Artifact bytes live only in the result cache. With room for one
+    // artifact, the second cold run evicts the first one's bytes: its
+    // job still reads done, but a fetch asks for a resubmit.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("evicted");
+    options.workers = 1;
+    options.cacheBytes = 1;
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::RunRequest older = tinyRequest();
+    serve::RunRequest newer = tinyRequest();
+    newer.instructions += 1;
+    uint64_t jobs[2];
+    for (int i = 0; i < 2; ++i) {
+        serve::SubmitOutcome outcome;
+        ASSERT_TRUE(client.submit(i == 0 ? older : newer, outcome, &error))
+            << error;
+        ASSERT_TRUE(outcome.accepted) << outcome.error;
+        serve::JobView view;
+        ASSERT_TRUE(client.waitTerminal(outcome.job, view, 60.0, &error))
+            << error;
+        ASSERT_EQ(view.state, "done") << view.error;
+        jobs[i] = outcome.job;
+    }
+
+    serve::JobView view;
+    EXPECT_FALSE(client.fetch(jobs[0], view, &error));
+    EXPECT_EQ(error, "artifact evicted; resubmit");
+    ASSERT_TRUE(client.status(jobs[0], view, &error)) << error;
+    EXPECT_EQ(view.state, "done");
+
+    ASSERT_TRUE(client.fetch(jobs[1], view, &error)) << error;
+    harness::RunJob job;
+    job.workload = trace::tinyWorkload();
+    job.spec = serve::toRunSpec(newer);
+    EXPECT_EQ(view.artifact, harness::runJobArtifact(job).json);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, TerminalJobRecordsRetireOldestFirst)
+{
+    // The job table keeps 4096 terminal records, so a long-lived
+    // daemon's memory does not grow with the requests it has served.
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("retire");
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome cold;
+    ASSERT_TRUE(client.submit(tinyRequest(), cold, &error)) << error;
+    ASSERT_TRUE(cold.accepted) << cold.error;
+    serve::JobView coldView;
+    ASSERT_TRUE(client.waitTerminal(cold.job, coldView, 60.0, &error))
+        << error;
+    ASSERT_TRUE(client.fetch(cold.job, coldView, &error)) << error;
+
+    // 1 cold + 4097 hot terminal records: the two oldest retire.
+    std::vector<uint64_t> hot;
+    for (int i = 0; i < 4097; ++i) {
+        serve::SubmitOutcome outcome;
+        ASSERT_TRUE(client.submit(tinyRequest(), outcome, &error)) << error;
+        ASSERT_EQ(outcome.served, "cache");
+        hot.push_back(outcome.job);
+    }
+    serve::JobView view;
+    for (uint64_t retired : {cold.job, hot.front()}) {
+        EXPECT_FALSE(client.status(retired, view, &error)) << retired;
+        EXPECT_EQ(error, "unknown job " + std::to_string(retired));
+    }
+    EXPECT_TRUE(client.status(hot[1], view, &error)) << error;
+    ASSERT_TRUE(client.fetch(hot.back(), view, &error)) << error;
+    EXPECT_EQ(view.artifact, coldView.artifact);
 
     daemon.stop();
 }
