@@ -112,23 +112,23 @@ Daemon::Daemon(DaemonOptions options)
         });
     }
     // The rolling window: what the daemon is doing *now* (last N
-    // seconds), as opposed to the since-start counters above.
+    // seconds), as opposed to the since-start counters above. The
+    // gauges read the one view dumpWith() takes per dump.
     registry_.gauge("serve.window.seconds", [this] {
-        return static_cast<double>(metrics_.windowSeconds());
+        return static_cast<double>(windowView_.windowSeconds);
     });
     registry_.gauge("serve.window.requests", [this] {
-        return static_cast<double>(metrics_.view().requests);
+        return static_cast<double>(windowView_.requests);
     });
-    registry_.gauge("serve.window.qps",
-                    [this] { return metrics_.view().qps; });
+    registry_.gauge("serve.window.qps", [this] { return windowView_.qps; });
     registry_.gauge("serve.window.hit_ratio",
-                    [this] { return metrics_.view().hitRatio; });
+                    [this] { return windowView_.hitRatio; });
     registry_.gauge("serve.window.p50_ms",
-                    [this] { return metrics_.view().p50Ms; });
+                    [this] { return windowView_.p50Ms; });
     registry_.gauge("serve.window.p95_ms",
-                    [this] { return metrics_.view().p95Ms; });
+                    [this] { return windowView_.p95Ms; });
     registry_.gauge("serve.window.p99_ms",
-                    [this] { return metrics_.view().p99Ms; });
+                    [this] { return windowView_.p99Ms; });
     if (spans_ != nullptr) {
         registry_.counter("serve.spans.recorded",
                           [this] { return spans_->recorded(); });
@@ -590,7 +590,14 @@ Daemon::handleJob(Request::Op op, uint64_t id)
 obs::CounterDump
 Daemon::statsDump()
 {
+    return dumpWith(metrics_.view());
+}
+
+obs::CounterDump
+Daemon::dumpWith(const MetricsWindow::View &view)
+{
     std::lock_guard<std::recursive_mutex> lock(histMutex_);
+    windowView_ = view;
     return registry_.dump();
 }
 
@@ -633,7 +640,7 @@ Daemon::metricsJson()
     // The Prometheus page rides the NDJSON protocol as one escaped
     // string value; eipc metrics unescapes it back to scrape text.
     json.kv("exposition",
-            prometheusText(statsDump(),
+            prometheusText(dumpWith(view),
                            {{"tool", "eipd"},
                             {"git_describe", gitDescribe_}}));
     json.endObject();

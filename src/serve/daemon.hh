@@ -167,6 +167,9 @@ class Daemon
      *  artifact, read from cache_). */
     std::string handleJob(Request::Op op, uint64_t id);
     std::string invalidResponse(Request::Op op, const std::string &error);
+    /** The registry dump under @p view, which the serve.window.*
+     *  gauges read: one window view per dump, not one per gauge. */
+    obs::CounterDump dumpWith(const MetricsWindow::View &view);
 
     DaemonOptions options_;
     std::string gitDescribe_;
@@ -206,6 +209,9 @@ class Daemon
      *  registered percentile gauges re-enter it from inside dump()). */
     std::recursive_mutex histMutex_;
     Histogram requestWallMs_{128};
+
+    /** The view of the dump in progress; guarded by histMutex_. */
+    MetricsWindow::View windowView_;
 
     /** Request spans; allocated only when options_.spanLimit > 0 so a
      *  disabled collector is one pointer test on every hook. */

@@ -66,8 +66,6 @@ class MetricsWindow
 
     View view();
 
-    uint64_t windowSeconds() const { return windowUs_ / 1000000ull; }
-
   private:
     struct Sample
     {

@@ -1,5 +1,7 @@
 #include "trace/executor.hh"
 
+#include <algorithm>
+
 #include "util/panic.hh"
 
 namespace eip::trace {
@@ -80,16 +82,19 @@ Executor::emitBody(const StaticInst &inst, uint64_t pc)
     }
 }
 
+template <bool Emit>
 void
-Executor::emitTerminator()
+Executor::terminator()
 {
     const Function &fn = prog.functions[curFunc];
     const Block &blk = fn.blocks[curBlock];
-    uint64_t pc = blk.termPc();
 
-    out = Instruction{};
-    out.pc = pc;
-    out.size = blk.termSize;
+    // The stepper's writes land in a dead local the compiler drops.
+    Instruction unused;
+    Instruction &rec = Emit ? out : unused;
+    rec = Instruction{};
+    rec.pc = bodyPc;
+    rec.size = blk.termSize;
 
     switch (blk.term) {
       case TerminatorKind::FallThrough: {
@@ -98,7 +103,7 @@ Executor::emitTerminator()
         return;
       }
       case TerminatorKind::CondBranch: {
-        out.branch = BranchType::Conditional;
+        rec.branch = BranchType::Conditional;
         bool taken;
         if (blk.loopTripCount > 0) {
             // Loop back-edge with a drawn trip count per loop entry.
@@ -117,9 +122,9 @@ Executor::emitTerminator()
         } else {
             taken = rng.chance(blk.takenProb);
         }
-        out.taken = taken;
+        rec.taken = taken;
         if (taken) {
-            out.target = fn.blocks[blk.takenBlock].startPc;
+            rec.target = fn.blocks[blk.takenBlock].startPc;
             advanceToBlock(curFunc, blk.takenBlock);
         } else {
             advanceToBlock(curFunc, blk.fallBlock);
@@ -127,19 +132,19 @@ Executor::emitTerminator()
         return;
       }
       case TerminatorKind::Jump: {
-        out.branch = BranchType::DirectJump;
-        out.taken = true;
-        out.target = fn.blocks[blk.takenBlock].startPc;
+        rec.branch = BranchType::DirectJump;
+        rec.taken = true;
+        rec.target = fn.blocks[blk.takenBlock].startPc;
         advanceToBlock(curFunc, blk.takenBlock);
         return;
       }
       case TerminatorKind::IndirectJump: {
-        out.branch = BranchType::IndirectJump;
-        out.taken = true;
+        rec.branch = BranchType::IndirectJump;
+        rec.taken = true;
         uint32_t idx = static_cast<uint32_t>(
             rng.skewedBelow(blk.indirectTargets.size()));
         uint32_t target_block = blk.indirectTargets[idx];
-        out.target = fn.blocks[target_block].startPc;
+        rec.target = fn.blocks[target_block].startPc;
         advanceToBlock(curFunc, target_block);
         return;
       }
@@ -177,25 +182,25 @@ Executor::emitTerminator()
             advanceToBlock(curFunc, blk.fallBlock);
             return;
         }
-        out.branch = blk.term == TerminatorKind::Call
+        rec.branch = blk.term == TerminatorKind::Call
             ? BranchType::DirectCall : BranchType::IndirectCall;
-        out.taken = true;
-        out.target = prog.functions[callee].entryPc;
+        rec.taken = true;
+        rec.target = prog.functions[callee].entryPc;
         stack.push_back(Frame{curFunc, blk.fallBlock});
         advanceToBlock(callee, 0);
         return;
       }
       case TerminatorKind::Return: {
-        out.branch = BranchType::Return;
-        out.taken = true;
+        rec.branch = BranchType::Return;
+        rec.taken = true;
         if (stack.empty()) {
             // Driver loop: restart main.
-            out.target = prog.functions[0].entryPc;
+            rec.target = prog.functions[0].entryPc;
             advanceToBlock(0, 0);
         } else {
             Frame frame = stack.back();
             stack.pop_back();
-            out.target =
+            rec.target =
                 prog.functions[frame.func].blocks[frame.resumeBlock].startPc;
             advanceToBlock(frame.func, frame.resumeBlock);
         }
@@ -215,10 +220,38 @@ Executor::next()
         bodyPc += inst.size;
         ++bodyPos;
     } else {
-        emitTerminator();
+        terminator<true>();
     }
     ++emittedCount;
     return out;
+}
+
+void
+Executor::skip(uint64_t n)
+{
+    const uint64_t target = emittedCount + n;
+    while (emittedCount < target) {
+        const Block &blk = prog.functions[curFunc].blocks[curBlock];
+        const size_t size = blk.body.size();
+        if (bodyPos == size) {
+            terminator<false>();
+            ++emittedCount;
+            continue;
+        }
+        // Only Global (an RNG draw) and Stream (a cursor) loads and
+        // stores change state inside a body.
+        const size_t end = static_cast<size_t>(std::min<uint64_t>(
+            size, bodyPos + (target - emittedCount)));
+        emittedCount += end - bodyPos;
+        for (; bodyPos < end; ++bodyPos) {
+            const StaticInst &inst = blk.body[bodyPos];
+            if ((inst.kind == InstKind::Load ||
+                 inst.kind == InstKind::Store) &&
+                inst.memPattern != MemPattern::Stack)
+                dataAddress(inst, bodyPc);
+            bodyPc += inst.size;
+        }
+    }
 }
 
 } // namespace eip::trace

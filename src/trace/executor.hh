@@ -34,6 +34,12 @@ struct ExecutorConfig
 /**
  * Deterministic CFG walker. Identical (program, config) pairs yield
  * bit-identical instruction streams.
+ *
+ * skip() advances with a body-free stepper: it moves control flow, the
+ * RNG draws of Global loads and stores, and the stream cursors without
+ * filling an Instruction or making a virtual call per instruction. The
+ * stream after skip(n) is bit-identical to the one after n calls of
+ * next().
  */
 class Executor : public InstructionSource
 {
@@ -43,7 +49,10 @@ class Executor : public InstructionSource
     /** Produce the next dynamic instruction. Never fails. */
     const Instruction &next() override;
 
-    /** Dynamic instructions emitted so far. */
+    /** Advance past @p n instructions; see the class comment. */
+    void skip(uint64_t n) override;
+
+    /** Dynamic instructions emitted (or skipped) so far. */
     uint64_t emitted() const { return emittedCount; }
 
     /** Current call depth (for tests). */
@@ -56,11 +65,11 @@ class Executor : public InstructionSource
         uint32_t resumeBlock; ///< caller block to resume at after return
     };
 
-    /** Position inside the current block's body; equal to body size when
-     *  the terminator is next. */
     void advanceToBlock(uint32_t func, uint32_t block);
     void emitBody(const StaticInst &inst, uint64_t pc);
-    void emitTerminator();
+    /** Execute the current block's terminator; only next() (Emit)
+     *  fills the output record. */
+    template <bool Emit> void terminator();
     uint64_t dataAddress(const StaticInst &inst, uint64_t pc);
     /** Dense index of the current block across all functions. */
     size_t globalBlock() const { return blockBase[curFunc] + curBlock; }
@@ -71,6 +80,8 @@ class Executor : public InstructionSource
 
     uint32_t curFunc = 0;
     uint32_t curBlock = 0;
+    /** Position inside the current block's body; equal to body size when
+     *  the terminator is next. */
     size_t bodyPos = 0;
     uint64_t bodyPc = 0;
 

@@ -68,11 +68,10 @@ class InstructionSource
 
     /**
      * Advance the stream past @p n instructions without observing them.
-     * Positionally equivalent to n next() calls — stateful sources (the
-     * synthetic Executor) still execute the skipped region so the stream
-     * after the skip is bit-identical to having consumed it; replayers
-     * may reposition in O(1). Used by the sampling controller's
-     * fast-forward phase.
+     * The stream after the skip is bit-identical to the one after n
+     * next() calls. This default calls next(); replayers reposition in
+     * O(1), and the synthetic Executor steps its state without building
+     * records. Used by the sampling controller's fast-forward phase.
      */
     virtual void
     skip(uint64_t n)

@@ -108,8 +108,9 @@ TEST(HistoryProperty, GenerationsNeverRepeatPerSlot)
         size_t slot = hist.push(i, i);
         uint64_t gen = hist.at(slot).generation;
         auto it = last_gen.find(slot);
-        if (it != last_gen.end())
+        if (it != last_gen.end()) {
             EXPECT_GT(gen, it->second);
+        }
         last_gen[slot] = gen;
     }
 }

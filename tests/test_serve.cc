@@ -13,7 +13,9 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -314,6 +316,76 @@ TEST(ServeDaemon, ColdRunThenCacheServedByteIdentical)
     // cache without counting a lookup.
     EXPECT_EQ(stats.counter("serve.cache.hits").value(), 1u);
     EXPECT_EQ(stats.counter("serve.cache.misses").value(), 1u);
+
+    daemon.stop();
+}
+
+TEST(ServeDaemon, WindowGaugesReadOneViewPerDump)
+{
+    serve::DaemonOptions options;
+    options.socketPath = testSocket("window_view");
+    options.workers = 1;
+    serve::Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    serve::SubmitOutcome outcome;
+    ASSERT_TRUE(client.submit(tinyRequest(), outcome, &error)) << error;
+    serve::JobView view;
+    ASSERT_TRUE(client.waitTerminal(outcome.job, view, 60.0, &error))
+        << error;
+
+    // Cache hits keep landing in the window while the metrics
+    // responses are rendered: the window object and the exposition's
+    // serve.window.* gauges must still come from one view.
+    std::atomic<bool> done{false};
+    std::thread traffic([&] {
+        serve::Client hot;
+        std::string err;
+        if (!hot.connect(options.socketPath, &err))
+            return;
+        serve::SubmitOutcome hit;
+        while (!done.load())
+            hot.submit(tinyRequest(), hit, &err);
+    });
+    auto gauge = [](const std::string &page, const std::string &name) {
+        const std::string key = "\neip_serve_window_" + name + " ";
+        const size_t at = page.find(key);
+        return at == std::string::npos
+                   ? -1.0
+                   : std::strtod(page.c_str() + at + key.size(), nullptr);
+    };
+    // Keep dumping until the traffic has landed a few dozen hits.
+    uint64_t seen = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (int i = 0; (i < 40 || seen < 30) &&
+                    std::chrono::steady_clock::now() < deadline;
+         ++i) {
+        // No ASSERT while the traffic thread runs: it must be joined.
+        std::optional<obs::JsonValue> doc =
+            obs::parseJson(daemon.metricsJson(), &error);
+        const obs::JsonValue *window =
+            doc.has_value() ? doc->find("window") : nullptr;
+        const obs::JsonValue *exposition =
+            doc.has_value() ? doc->find("exposition") : nullptr;
+        if (window == nullptr || exposition == nullptr) {
+            ADD_FAILURE() << "malformed metrics response: " << error;
+            break;
+        }
+        const std::string &page = exposition->string;
+        seen = window->find("requests")->asU64();
+        EXPECT_EQ(gauge(page, "requests"), static_cast<double>(seen));
+        for (const char *name :
+             {"seconds", "qps", "hit_ratio", "p50_ms", "p95_ms", "p99_ms"})
+            EXPECT_EQ(gauge(page, name), window->find(name)->number)
+                << name;
+    }
+    done.store(true);
+    traffic.join();
+    EXPECT_GE(seen, 30u);
 
     daemon.stop();
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the synthetic workload generator: CFG validity, deterministic
- * construction and execution, call-stack balance, loop termination, and
- * the workload catalogue.
+ * construction and execution, call-stack balance, loop termination, the
+ * workload catalogue, and fast-forward (the body-free skip) against plain
+ * next() calls.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "trace/executor.hh"
 #include "trace/program_builder.hh"
 #include "trace/workloads.hh"
+#include "util/rng.hh"
 
 namespace eip::trace {
 namespace {
@@ -431,6 +433,146 @@ TEST(Workloads, TinyWorkloadIsSmall)
     Workload tiny = tinyWorkload();
     Program prog = buildProgram(tiny.program);
     EXPECT_LT(prog.footprintBytes(), 512u * 1024);
+}
+
+// ------------------------------------------------------------ fast-forward
+
+/** A catalogue workload by name ("tiny" or a cvpSuite entry). */
+Workload
+catalogued(const std::string &name)
+{
+    if (name == "tiny")
+        return tinyWorkload();
+    for (const Workload &w : cvpSuite(1))
+        if (w.name == name)
+            return w;
+    ADD_FAILURE() << "no workload " << name;
+    return tinyWorkload();
+}
+
+/** Built programs, one per workload, shared by the tests below. */
+const Program &
+programOf(const std::string &name)
+{
+    static std::map<std::string, Program> built;
+    auto it = built.find(name);
+    if (it == built.end())
+        it = built.emplace(name, buildProgram(catalogued(name).program))
+                 .first;
+    return it->second;
+}
+
+/** Field-for-field equality of two dynamic instructions. */
+::testing::AssertionResult
+sameInstruction(const Instruction &a, const Instruction &b)
+{
+    if (a.pc == b.pc && a.size == b.size && a.branch == b.branch &&
+        a.taken == b.taken && a.target == b.target &&
+        a.isLoad == b.isLoad && a.isStore == b.isStore &&
+        a.isFp == b.isFp && a.memAddr == b.memAddr)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "pc " << a.pc << " vs " << b.pc << ", target " << a.target
+           << " vs " << b.target << ", memAddr " << a.memAddr << " vs "
+           << b.memAddr;
+}
+
+/** One fast-forward schedule: skip, then observe, repeated. */
+struct Leg
+{
+    uint64_t skip;
+    uint64_t take;
+};
+
+/** The instructions a fresh executor emits when it runs @p legs, skipping
+ *  with skip() (or plain next() calls when @p by_next). Each skip's end
+ *  call depth goes to @p depths when given. */
+std::vector<Instruction>
+observe(const Program &prog, const ExecutorConfig &ec,
+        const std::vector<Leg> &legs, bool by_next,
+        std::vector<size_t> *depths = nullptr)
+{
+    Executor exec(prog, ec);
+    std::vector<Instruction> seen;
+    for (const Leg &leg : legs) {
+        const uint64_t target = exec.emitted() + leg.skip;
+        if (by_next) {
+            while (exec.emitted() < target)
+                exec.next();
+        } else {
+            exec.skip(leg.skip);
+        }
+        EXPECT_EQ(exec.emitted(), target);
+        if (depths != nullptr)
+            depths->push_back(exec.callDepth());
+        for (uint64_t i = 0; i < leg.take; ++i)
+            seen.push_back(exec.next());
+    }
+    return seen;
+}
+
+/** skip-then-next equals plain next() calls, field for field. */
+void
+expectSkipMatchesNext(const Program &prog, const ExecutorConfig &ec,
+                      const std::vector<Leg> &legs,
+                      std::vector<size_t> *depths = nullptr)
+{
+    const std::vector<Instruction> want =
+        observe(prog, ec, legs, /*by_next=*/true);
+    const std::vector<Instruction> got =
+        observe(prog, ec, legs, /*by_next=*/false, depths);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        ASSERT_TRUE(sameInstruction(got[i], want[i])) << "observed #" << i;
+}
+
+class SkipProperty : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SkipProperty, SeededSkipsMatchNext)
+{
+    const Workload w = catalogued(GetParam());
+    const Program &prog = programOf(GetParam());
+    Rng rng(0x5eed ^ std::hash<std::string>{}(GetParam()));
+    for (int round = 0; round < 4; ++round) {
+        std::vector<Leg> legs;
+        for (int i = 0; i < 3; ++i)
+            legs.push_back({rng.below(200000), 1 + rng.below(300)});
+        expectSkipMatchesNext(prog, w.exec, legs);
+    }
+}
+
+TEST_P(SkipProperty, EveryShortSkipMatchesNext)
+{
+    // Lengths 0..63 back to back: skips end inside block bodies, on
+    // terminators and right after them.
+    const Workload w = catalogued(GetParam());
+    const Program &prog = programOf(GetParam());
+    std::vector<Leg> legs;
+    for (uint64_t n = 0; n < 64; ++n)
+        legs.push_back({n, 1 + n % 3});
+    expectSkipMatchesNext(prog, w.exec, legs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, SkipProperty,
+                         ::testing::Values("int-1", "srv-1", "tiny"));
+
+TEST(SkipElision, SkipsThroughElidedCallsAtTheDepthCap)
+{
+    // A shallow depth cap makes srv-1 hit call elision all the time.
+    Workload w = catalogued("srv-1");
+    w.exec.maxCallDepth = 3;
+    const Program &prog = programOf("srv-1");
+    std::vector<Leg> legs;
+    for (uint64_t i = 0; i < 40; ++i)
+        legs.push_back({997 + 131 * i, 50});
+    std::vector<size_t> depths;
+    expectSkipMatchesNext(prog, w.exec, legs, &depths);
+    size_t at_cap = 0;
+    for (size_t d : depths)
+        at_cap += d == w.exec.maxCallDepth ? 1 : 0;
+    EXPECT_GT(at_cap, 0u);
 }
 
 } // namespace
