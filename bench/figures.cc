@@ -6,7 +6,9 @@
  *   figures [VIEW-ID...]      no ids = every view, in paper order
  *
  * Each view declares the cells it reads (a workload under a
- * harness::RunSpec) and renders its tables from their results. The
+ * harness::RunSpec) and renders its tables from their results only:
+ * every simulation, the motivation figures' and the extensions'
+ * included, is a cell named by a factory config id. The
  * program collects the cells of the selected views, deduplicates them on
  * harness::resultCacheKey and runs the union once through
  * harness::runBatch. It then prints the views in order, writes one
@@ -26,18 +28,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/dest_compression.hh"
-#include "core/entangling.hh"
 #include "energy/energy_model.hh"
 #include "exec/jobs.hh"
 #include "exec/program_cache.hh"
-#include "exec/run_batch.hh"
 #include "harness/artifacts.hh"
 #include "harness/canonical.hh"
 #include "harness/report.hh"
@@ -47,8 +46,6 @@
 #include "prefetch/factory.hh"
 #include "prefetch/lookahead.hh"
 #include "sim/config.hh"
-#include "sim/cpu.hh"
-#include "trace/executor.hh"
 #include "trace/workloads.hh"
 #include "util/env.hh"
 #include "util/panic.hh"
@@ -68,7 +65,7 @@ class Matrix
 {
   public:
     Matrix(const std::vector<RunJob> &requested, unsigned jobs)
-        : jobs(jobs), requested(requested.size()),
+        : requested(requested.size()),
           git(obs::buildGitDescribe())
     {
         std::vector<RunJob> unique;
@@ -99,7 +96,6 @@ class Matrix
 
     size_t unique() const { return results.size(); }
 
-    const unsigned jobs;
     const size_t requested;
 
   private:
@@ -151,12 +147,16 @@ struct View
 
 // Shared vocabulary of the views.
 
-/** Default spec (EIP_SIM_SCALE applied) for @p config_id. */
+/** Default spec (EIP_SIM_SCALE applied) for @p config_id, with the
+ *  flag @p flag, if any, set to @p on. */
 RunSpec
-spec(const std::string &config_id)
+spec(const std::string &config_id, bool RunSpec::*flag = nullptr,
+     bool on = true)
 {
     RunSpec s = RunSpec::defaultSpec();
     s.configId = config_id;
+    if (flag != nullptr)
+        s.*flag = on;
     return s;
 }
 
@@ -238,22 +238,6 @@ speedupPct(const std::vector<RunResult> &results,
     return (harness::geomeanSpeedup(results, baseline) - 1.0) * 100.0;
 }
 
-/** One run outside the matrix, for the prefetchers and configurations
- *  no factory id names: @p pf (may be null) on @p w under @p cfg at the
- *  default budget, with the program from the shared cache. */
-sim::SimStats
-runOwn(const Workload &w, sim::Prefetcher *pf, const sim::SimConfig &cfg = {})
-{
-    std::shared_ptr<const trace::Program> program =
-        exec::ProgramCache::global().get(w.program);
-    sim::Cpu cpu(cfg);
-    if (pf != nullptr)
-        cpu.attachL1iPrefetcher(pf);
-    trace::Executor executor(*program, w.exec);
-    RunSpec s = RunSpec::defaultSpec();
-    return cpu.run(executor, s.instructions, s.warmup);
-}
-
 /** Figs. 7-10: one sorted per-workload series per config over the
  *  3-seed suite; @p series maps a config's results to its values. */
 template <typename Series>
@@ -284,10 +268,29 @@ each(Metric metric)
 const char *const kCategories[] = {"crypto", "int", "fp", "srv"};
 
 // Fig. 1 / Fig. 2 — a fixed look-ahead distance cannot serve all misses.
-// The oracle and the fixed-distance prefetcher have no factory id, so
-// they run outside the matrix (fanned out over the same jobs).
+// Fig. 1 reads the oracle's timely-fraction gauges, so its cells collect
+// the counter registry.
 
-const unsigned kFig2Distances[] = {1, 2, 4, 6, 8, 10};
+RunSpec
+oracleSpec()
+{
+    return spec("lookahead-oracle", &RunSpec::collectCounters);
+}
+
+RunSpec
+lookaheadSpec(unsigned distance)
+{
+    return spec("lookahead-" + std::to_string(distance));
+}
+
+std::vector<RunJob>
+cellsFig01()
+{
+    std::vector<RunSpec> specs = {oracleSpec()};
+    for (unsigned d : prefetch::kLookaheadDistances)
+        specs.push_back(lookaheadSpec(d));
+    return cross(cvp(2), specs);
+}
 
 void
 renderFig01(const Matrix &m, Report &r)
@@ -297,22 +300,22 @@ renderFig01(const Matrix &m, Report &r)
     // Fig. 1: oracle timely fraction per distance, on the no-prefetch
     // baseline with each miss's latency tracked.
     std::vector<std::string> columns;
-    for (unsigned d = 1; d <= 10; ++d)
+    for (unsigned d = 1; d <= prefetch::LookaheadOracle::kReportedDistances;
+         ++d)
         columns.push_back("d=" + std::to_string(d));
     ReportRecord fig1 = record(
         "Fig. 1: fraction of timely prefetches at look-ahead distance d "
         "(oracle, per workload)",
         "workload", columns, 3);
-    auto timely = exec::runBatch(workloads, m.jobs, [](const Workload &w) {
-        prefetch::LookaheadOracle oracle;
-        runOwn(w, &oracle);
+    for (const Workload &w : workloads) {
+        const obs::CounterDump &counters = m.at(w, oracleSpec()).counters;
         std::vector<double> row;
-        for (unsigned d = 1; d <= 10; ++d)
-            row.push_back(oracle.timelyFraction(d));
-        return row;
-    });
-    for (size_t i = 0; i < workloads.size(); ++i)
-        addRow(fig1, workloads[i].name, timely[i]);
+        for (size_t d = 1; d <= columns.size(); ++d)
+            row.push_back(
+                counters.gauge("lookahead.timely_d" + std::to_string(d))
+                    .value());
+        addRow(fig1, w.name, row);
+    }
     r.text("\n");
     r.table(std::move(fig1));
     r.text("Expected shape: no single distance serves all misses; a "
@@ -320,24 +323,16 @@ renderFig01(const Matrix &m, Report &r)
 
     // Fig. 2: accuracy of the fixed-distance prefetcher vs distance.
     columns.clear();
-    for (unsigned d : kFig2Distances)
+    for (unsigned d : prefetch::kLookaheadDistances)
         columns.push_back("d=" + std::to_string(d));
     ReportRecord fig2 = record(
         "Fig. 2: accuracy of a fixed look-ahead prefetcher vs distance",
         "workload", columns, 3);
-    std::vector<std::pair<size_t, unsigned>> runs; // (workload, distance)
-    for (size_t i = 0; i < workloads.size(); ++i)
-        for (unsigned d : kFig2Distances)
-            runs.emplace_back(i, d);
-    auto accuracy = exec::runBatch(
-        runs, m.jobs, [&](const std::pair<size_t, unsigned> &run) {
-            prefetch::LookaheadPrefetcher pf(run.second);
-            return runOwn(workloads[run.first], &pf).l1i.accuracy();
-        });
-    for (size_t i = 0; i < workloads.size(); ++i) {
-        auto first = accuracy.begin() + i * std::size(kFig2Distances);
-        addRow(fig2, workloads[i].name,
-               {first, first + std::size(kFig2Distances)});
+    for (const Workload &w : workloads) {
+        std::vector<double> row;
+        for (unsigned d : prefetch::kLookaheadDistances)
+            row.push_back(m.at(w, lookaheadSpec(d)).stats.l1i.accuracy());
+        addRow(fig2, w.name, row);
     }
     r.text("\n");
     r.table(std::move(fig2));
@@ -723,21 +718,14 @@ const std::pair<const char *, const char *> kSec4eRows[] = {
     {"entangling-8k", "entangling-8k-phys"},
 };
 
-RunSpec
-physicalSpec(const std::string &id)
-{
-    RunSpec s = spec(id);
-    s.physicalL1i = true;
-    return s;
-}
-
 std::vector<RunJob>
 cellsSec4e()
 {
-    std::vector<RunSpec> specs = {spec("none"), physicalSpec("none")};
+    std::vector<RunSpec> specs = {spec("none"),
+                                  spec("none", &RunSpec::physicalL1i)};
     for (const auto &[virt, phys] : kSec4eRows) {
         specs.push_back(spec(virt));
-        specs.push_back(physicalSpec(phys));
+        specs.push_back(spec(phys, &RunSpec::physicalL1i));
     }
     return cross(cvp(2), specs);
 }
@@ -747,13 +735,15 @@ renderSec4e(const Matrix &m, Report &r)
 {
     const std::vector<Workload> workloads = cvp(2);
     const auto base_virt = m.suite(workloads, spec("none"));
-    const auto base_phys = m.suite(workloads, physicalSpec("none"));
+    const auto base_phys =
+        m.suite(workloads, spec("none", &RunSpec::physicalL1i));
     ReportRecord table = record(
         "Sec. IV-E: physical-address training", "config",
         {"virtual speedup-%", "physical speedup-%"}, 2);
     for (const auto &[virt_id, phys_id] : kSec4eRows) {
         std::vector<RunResult> virt = m.suite(workloads, spec(virt_id));
-        std::vector<RunResult> phys = m.suite(workloads, physicalSpec(phys_id));
+        std::vector<RunResult> phys =
+            m.suite(workloads, spec(phys_id, &RunSpec::physicalL1i));
         addRow(table, virt.front().configName,
                {speedupPct(virt, base_virt), speedupPct(phys, base_phys)});
     }
@@ -802,20 +792,13 @@ renderFig16(const Matrix &m, Report &r)
 // commit-time-training mitigation recovers, on one srv workload (the
 // class where pollution matters most).
 
-/** Factory-id arms (row label, config id); the +commit arm has no id. */
+/** The arms: (row label, config id). */
 const std::pair<const char *, const char *> kWrongPathArms[] = {
     {"no", "none"},
     {"NextLine", "nextline"},
     {"Entangling-4K", "entangling-4k"},
+    {"Entangling-4K+commit", "entangling-4k-commit"},
 };
-
-RunSpec
-wrongPathSpec(const std::string &id, bool wrong_path)
-{
-    RunSpec s = spec(id);
-    s.wrongPath = wrong_path;
-    return s;
-}
 
 std::vector<RunJob>
 cellsWrongPath()
@@ -823,7 +806,7 @@ cellsWrongPath()
     std::vector<RunSpec> specs;
     for (const auto &arm : kWrongPathArms)
         for (bool wrong_path : {false, true})
-            specs.push_back(wrongPathSpec(arm.second, wrong_path));
+            specs.push_back(spec(arm.second, &RunSpec::wrongPath, wrong_path));
     return cross({cvp(1)[3]}, specs);
 }
 
@@ -837,24 +820,14 @@ renderWrongPath(const Matrix &m, Report &r)
          "acc (WP)"},
         3);
     for (const auto &[label, id] : kWrongPathArms) {
-        const sim::SimStats &clean = m.at(w, wrongPathSpec(id, false)).stats;
-        const sim::SimStats &wrong = m.at(w, wrongPathSpec(id, true)).stats;
+        const sim::SimStats &clean =
+            m.at(w, spec(id, &RunSpec::wrongPath, false)).stats;
+        const sim::SimStats &wrong =
+            m.at(w, spec(id, &RunSpec::wrongPath, true)).stats;
         addRow(table, label,
                {clean.ipc(), wrong.ipc(), clean.l1i.accuracy(),
                 wrong.l1i.accuracy()});
     }
-    sim::SimStats commit[2];
-    for (bool wrong_path : {false, true}) {
-        core::EntanglingConfig cfg = core::EntanglingConfig::preset4K();
-        cfg.commitTimeTraining = true;
-        core::EntanglingPrefetcher pf(cfg);
-        sim::SimConfig sim_cfg;
-        sim_cfg.modelWrongPath = wrong_path;
-        commit[wrong_path] = runOwn(w, &pf, sim_cfg);
-    }
-    addRow(table, "Entangling-4K+commit",
-           {commit[0].ipc(), commit[1].ipc(), commit[0].l1i.accuracy(),
-            commit[1].l1i.accuracy()});
     r.table(std::move(table), Title::ArtifactOnly);
     r.text(
         "\nExpected shape (paper §III-C1/IV-A): all prefetchers benefit\n"
@@ -868,61 +841,30 @@ renderWrongPath(const Matrix &m, Report &r)
 // basic-block sizes and entangled pairs in separate structures instead
 // of the unified Entangled table, at matched low budgets. The bb-size
 // side table costs 16 bits/entry versus 79 for a unified entry, so a
-// split design tracks far more basic blocks per kilobyte. The split
-// configurations have no factory id: they run outside the matrix,
-// against its no-prefetch baseline.
+// split design tracks far more basic blocks per kilobyte. Each split
+// row follows the unified configuration at its budget.
 
-std::vector<core::EntanglingConfig>
-splitConfigs()
-{
-    std::vector<core::EntanglingConfig> configs;
-    configs.push_back(core::EntanglingConfig::preset2K());
-    configs.push_back(core::EntanglingConfig::presetSplit2K());
-    // An even smaller pair table with a large bb-size side table.
-    core::EntanglingConfig tiny = core::EntanglingConfig::presetSplit2K();
-    tiny.tableEntries = 512;
-    tiny.splitBbEntries = 8192;
-    configs.push_back(tiny);
-    configs.push_back(core::EntanglingConfig::preset4K());
-    core::EntanglingConfig split4k = core::EntanglingConfig::preset4K();
-    split4k.tableEntries = 2048;
-    split4k.splitBbEntries = 8192;
-    split4k.mergeDistance = 15;
-    configs.push_back(split4k);
-    return configs;
-}
+const std::vector<std::string> kSplitConfigs = {
+    "entangling-2k", "entangling-split-1k", "entangling-split-512",
+    "entangling-4k", "entangling-split-2k"};
 
 void
 renderSplit(const Matrix &m, Report &r)
 {
     const std::vector<Workload> workloads = cvp(2);
     const std::vector<RunResult> baseline = m.suite(workloads, spec("none"));
-    const std::vector<core::EntanglingConfig> configs = splitConfigs();
-    std::vector<std::pair<size_t, size_t>> runs; // (config, workload)
-    for (size_t c = 0; c < configs.size(); ++c)
-        for (size_t i = 0; i < workloads.size(); ++i)
-            runs.emplace_back(c, i);
-    auto stats = exec::runBatch(
-        runs, m.jobs, [&](const std::pair<size_t, size_t> &run) {
-            core::EntanglingPrefetcher pf(configs[run.first]);
-            return runOwn(workloads[run.second], &pf);
-        });
-
     ReportRecord table = record(
         "Extension: unified vs split basic-block/pair storage (low budget)",
         "config", {"storage-KB", "speedup-%", "mean coverage"}, 2);
     table.digits[2] = 3;
-    for (size_t c = 0; c < configs.size(); ++c) {
-        std::vector<double> ratios, covers;
-        for (size_t i = 0; i < workloads.size(); ++i) {
-            const sim::SimStats &s = stats[c * workloads.size() + i];
-            ratios.push_back(s.ipc() / baseline[i].stats.ipc());
-            covers.push_back(s.l1i.coverage());
-        }
-        core::EntanglingPrefetcher pf(configs[c]);
-        addRow(table, pf.name(),
-               {pf.storageBits() / 8.0 / 1024.0,
-                (geomean(ratios) - 1.0) * 100.0, mean(covers)});
+    for (const std::string &id : kSplitConfigs) {
+        const std::vector<RunResult> results = m.suite(workloads, spec(id));
+        addRow(table, results.front().configName,
+               {results.front().storageKB,
+                (geomean(normalizedIpc(results, baseline)) - 1.0) * 100.0,
+                mean(harness::collect(results, [](const RunResult &x) {
+                    return x.stats.l1i.coverage();
+                }))});
     }
     r.table(std::move(table), Title::ArtifactOnly);
     r.text(
@@ -937,7 +879,7 @@ renderSplit(const Matrix &m, Report &r)
 
 const View kViews[] = {
     {"fig01_02_lookahead", "Fig. 1 / Fig. 2",
-     "timeliness and accuracy vs fixed look-ahead distance", nullptr,
+     "timeliness and accuracy vs fixed look-ahead distance", cellsFig01,
      renderFig01},
     {"tab03_config", nullptr, nullptr, nullptr, renderTab03},
     {"fig06_ipc_vs_storage", "Fig. 6", "IPC vs storage for all prefetchers",
@@ -970,7 +912,7 @@ const View kViews[] = {
      cellsWrongPath, renderWrongPath},
     {"ext_split_table", "Extension",
      "unified vs split basic-block/pair storage (low budget)",
-     [] { return cross(cvp(2), {spec("none")}); }, renderSplit},
+     [] { return cross(cvp(2), withNone(kSplitConfigs)); }, renderSplit},
 };
 
 /** BENCH_<id>.json in EIP_BENCH_ARTIFACT_DIR (default: the current

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end checks of the figures program (bench/figures.cc).
 
-Two views that share cells — fig12_compression reads 12 of the 36 cells
-of fig13_15_entangled_stats — run alone, together, and at two job
-counts. The printed tables must not depend on how views are grouped or
-how many workers ran them, and the shared cells must be simulated once.
-The bench-artifact check must accept what figures writes and reject
-an artifact with no tables.
+Two pairs of views that share cells run alone, together, and at two job
+counts: fig12_compression reads 12 of the 36 cells of
+fig13_15_entangled_stats, and ext_split_table (whose split arms once
+ran outside the matrix) shares its no-prefetch baseline and its
+Entangling-2K/4K rows with tab04_energy. The printed tables must not
+depend on how views are grouped or how many workers ran them, and the
+shared cells must be simulated once. The bench-artifact check must
+accept what figures writes and reject an artifact with no tables.
 
     python3 scripts/test_figures.py build/bench/figures
 """
@@ -22,8 +24,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 VALIDATE = os.path.join(HERE, "validate_stats_json.py")
 EMPTY_TABLES = os.path.join(HERE, os.pardir, "tests", "data",
                             "bench_empty_tables.json")
-VIEWS = ("fig12_compression", "fig13_15_entangled_stats")
 FIGURES = None  # set from argv
+JOBS = (1, 4)
 
 
 def run(views, jobs, artifact_dir):
@@ -42,38 +44,62 @@ def tables(stdout):
     return "".join(line for line in lines[:-2] if "jobs=" not in line)
 
 
-class SharedCells(unittest.TestCase):
+class SharedCells:
+    """Mixin: VIEWS run alone and together at each of JOBS; together
+    they request CELLS = (requested, unique) cells."""
+
+    VIEWS = ()
+    CELLS = (0, 0)
+
     @classmethod
     def setUpClass(cls):
         cls.tmp = tempfile.TemporaryDirectory()
-        cls.alone = [run([view], 1, cls.tmp.name) for view in VIEWS]
-        cls.together = run(VIEWS, 1, cls.tmp.name)
-        cls.wide = run(VIEWS, 4, cls.tmp.name)
+        cls.alone = {jobs: [run([view], jobs, cls.tmp.name)
+                            for view in cls.VIEWS] for jobs in JOBS}
+        cls.together = {jobs: run(cls.VIEWS, jobs, cls.tmp.name)
+                        for jobs in JOBS}
 
     @classmethod
     def tearDownClass(cls):
         cls.tmp.cleanup()
 
     def test_together_equals_each_view_alone(self):
-        self.assertEqual(tables(self.together),
-                         "".join(tables(out) for out in self.alone))
+        for jobs in JOBS:
+            self.assertEqual(tables(self.together[jobs]),
+                             "".join(tables(out) for out in self.alone[jobs]))
 
     def test_job_count_does_not_change_the_tables(self):
-        self.assertEqual(tables(self.together), tables(self.wide))
+        self.assertEqual(tables(self.together[1]), tables(self.together[4]))
+        for one, wide in zip(self.alone[1], self.alone[4]):
+            self.assertEqual(tables(one), tables(wide))
 
     def test_shared_cells_run_once(self):
-        trailer = self.together.splitlines()[-1]
-        match = re.search(r"cells: (\d+) requested, (\d+) unique", trailer)
-        self.assertIsNotNone(match, trailer)
-        self.assertEqual((int(match[1]), int(match[2])), (48, 36))
+        for jobs in JOBS:
+            trailer = self.together[jobs].splitlines()[-1]
+            match = re.search(r"cells: (\d+) requested, (\d+) unique",
+                              trailer)
+            self.assertIsNotNone(match, trailer)
+            self.assertEqual((int(match[1]), int(match[2])), self.CELLS)
 
     def test_one_valid_artifact_per_view(self):
         paths = [os.path.join(self.tmp.name, f"BENCH_{view}.json")
-                 for view in VIEWS]
+                 for view in self.VIEWS]
         self.assertEqual(sorted(os.listdir(self.tmp.name)),
                          sorted(os.path.basename(p) for p in paths))
         subprocess.run([sys.executable, "-B", VALIDATE, *paths],
                        check=True, capture_output=True)
+
+
+class CompressionAndEntangledStats(SharedCells, unittest.TestCase):
+    VIEWS = ("fig12_compression", "fig13_15_entangled_stats")
+    CELLS = (48, 36)
+
+
+class SplitTableAndEnergy(SharedCells, unittest.TestCase):
+    # ext_split_table: none + 5 configs on the 8 cvp(2) workloads;
+    # tab04_energy: 8 configs on the same workloads, 3 of them shared.
+    VIEWS = ("tab04_energy", "ext_split_table")
+    CELLS = (112, 88)
 
 
 class Validator(unittest.TestCase):
@@ -89,7 +115,8 @@ class Arguments(unittest.TestCase):
         done = subprocess.run([FIGURES, "fig99_nothing"],
                               capture_output=True, text=True)
         self.assertEqual(done.returncode, 2)
-        for view in VIEWS:
+        for view in (CompressionAndEntangledStats.VIEWS +
+                     SplitTableAndEnergy.VIEWS):
             self.assertIn(view, done.stderr)
 
 

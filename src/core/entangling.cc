@@ -72,15 +72,15 @@ EntanglingConfig::preset8K(bool physical)
 }
 
 EntanglingConfig
-EntanglingConfig::presetSplit2K()
+EntanglingConfig::presetSplit(uint32_t pair_entries, uint32_t bb_entries)
 {
-    // Budget-match the unified 2K point (~20.9KB): 1K pair entries
-    // (10.2KB) + 4K bb-size entries (8.1KB) + extensions/history.
+    // At the defaults: 1K pair entries (10.2KB) + 4K bb-size entries
+    // (8.1KB) + extensions/history.
     EntanglingConfig cfg;
-    cfg.tableEntries = 1024;
+    cfg.tableEntries = pair_entries;
     cfg.tableWays = 16;
     cfg.mergeDistance = 15;
-    cfg.splitBbEntries = 4096;
+    cfg.splitBbEntries = bb_entries;
     return cfg;
 }
 

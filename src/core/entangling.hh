@@ -68,8 +68,12 @@ struct EntanglingConfig
     uint32_t splitBbEntries = 0;
     uint32_t splitBbWays = 8;
 
-    /** Equal-budget split preset at the 2K-unified (~20.9KB) point. */
-    static EntanglingConfig presetSplit2K();
+    /** Split preset: @p pair_entries Entangled-table entries behind a
+     *  @p bb_entries bb-size table, merging as far back as the 2K
+     *  point. The default is budget-matched to the 2K-unified (~20.9KB)
+     *  point; the extension also runs (512, 8192) and (2048, 8192). */
+    static EntanglingConfig presetSplit(uint32_t pair_entries = 1024,
+                                        uint32_t bb_entries = 4096);
 
     /** The paper's three cost-effective configurations. */
     static EntanglingConfig preset2K(bool physical = false);

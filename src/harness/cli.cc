@@ -30,6 +30,43 @@ parseU64(const std::string &text, uint64_t &out)
     return end != nullptr && *end == '\0';
 }
 
+/** @p ids joined by '|', wrapped into the usage text's value column. */
+std::string
+idList(const std::vector<std::string> &ids)
+{
+    std::string out, line;
+    for (const std::string &id : ids) {
+        if (!line.empty() && line.size() + id.size() > 42) {
+            out += line + "\n" + std::string(24, ' ');
+            line.clear();
+        }
+        line += id + "|";
+    }
+    line.back() = '\n';
+    return out + line;
+}
+
+/** The RunSpec fields every run mode takes from the command line. */
+RunSpec
+specOf(const CliOptions &opt)
+{
+    RunSpec spec;
+    spec.configId = opt.prefetcher;
+    spec.dataPrefetcher = opt.dataPrefetcher;
+    spec.instructions = opt.instructions;
+    spec.warmup = opt.warmup;
+    spec.physicalL1i = opt.physical;
+    spec.wrongPath = opt.wrongPath;
+    spec.why = opt.why;
+    spec.whyTop = opt.whyTop;
+    spec.sampleMode = opt.sampleMode;
+    spec.sampleWindow = opt.sampleWindow;
+    spec.samplePeriod = opt.samplePeriod;
+    spec.sampleSeed = opt.sampleSeed;
+    spec.sampleWarm = opt.sampleWarm;
+    return spec;
+}
+
 } // namespace
 
 std::string
@@ -47,11 +84,9 @@ cliUsage()
         "                        same formats as --workload). Each trace\n"
         "                        passes the suite's >= 1 L1I MPKI\n"
         "                        qualification or is skipped with a note\n"
-        "  --prefetcher ID       none|ideal|l1i-64kb|l1i-96kb|nextline|\n"
-        "                        sn4l|mana-{2k,4k,8k}|rdip|djolt|fnl+mma|\n"
-        "                        pif|epi|entangling-{2k,4k,8k}[-phys]|\n"
-        "                        bb-4k|bbent-4k|bbentbb-4k|ent-4k\n"
-        "  --data-prefetcher ID  L1D prefetcher: none|stride\n"
+        "  --prefetcher ID       " + idList(configIds()) +
+        "  --data-prefetcher ID  L1D prefetcher: " +
+        idList(prefetch::prefetcherIds(prefetch::Side::L1d)) +
         "  --instructions N      measured instructions (default 600000)\n"
         "  --warmup N            warm-up instructions (default 300000)\n"
         "  --jobs N              worker threads for --workload all\n"
@@ -104,7 +139,7 @@ cliUsage()
         "                        debug|info|warn|error|off (default: the\n"
         "                        EIP_LOG environment variable, else warn)\n"
         "  --list-workloads      print the workload catalogue\n"
-        "  --list-prefetchers    print the known prefetcher ids\n"
+        "  --list-prefetchers    print the --prefetcher ids, one a line\n"
         "  --config              print the simulated system (Table III)\n"
         "  --help                this text\n";
 }
@@ -122,6 +157,12 @@ parseCli(const std::vector<std::string> &args)
             }
             return args[++i];
         };
+        // This flag's value as an unsigned number into @p field.
+        auto number = [&](uint64_t &field, const char *detail = "") {
+            auto v = value(arg.c_str());
+            if (v && !parseU64(*v, field))
+                opt.error = arg + " needs a number" + detail;
+        };
 
         if (arg == "--help" || arg == "-h") {
             opt.action = CliOptions::Action::Help;
@@ -138,19 +179,22 @@ parseCli(const std::vector<std::string> &args)
             if (auto v = value("--suite-trace"))
                 opt.suiteTraces.push_back(*v);
         } else if (arg == "--prefetcher") {
-            if (auto v = value("--prefetcher"))
+            if (auto v = value("--prefetcher")) {
                 opt.prefetcher = *v;
+                if (!knownConfigId(*v))
+                    opt.error = "unknown prefetcher '" + *v +
+                                "' (try --list-prefetchers)";
+            }
         } else if (arg == "--data-prefetcher") {
-            if (auto v = value("--data-prefetcher"))
+            if (auto v = value("--data-prefetcher")) {
                 opt.dataPrefetcher = *v;
+                if (!prefetch::knownPrefetcherId(*v, prefetch::Side::L1d))
+                    opt.error = "unknown data prefetcher '" + *v + "'";
+            }
         } else if (arg == "--instructions") {
-            auto v = value("--instructions");
-            if (v && !parseU64(*v, opt.instructions))
-                opt.error = "--instructions needs a number";
+            number(opt.instructions);
         } else if (arg == "--warmup") {
-            auto v = value("--warmup");
-            if (v && !parseU64(*v, opt.warmup))
-                opt.error = "--warmup needs a number";
+            number(opt.warmup);
         } else if (arg == "--jobs") {
             auto v = value("--jobs");
             uint64_t jobs = 0;
@@ -165,10 +209,7 @@ parseCli(const std::vector<std::string> &args)
                     opt.error = "--stats-json needs a file path";
             }
         } else if (arg == "--sample-interval") {
-            auto v = value("--sample-interval");
-            if (v && !parseU64(*v, opt.sampleInterval))
-                opt.error = "--sample-interval needs a number "
-                            "(instructions; 0 = off)";
+            number(opt.sampleInterval, " (instructions; 0 = off)");
         } else if (arg == "--sample-mode") {
             if (auto v = value("--sample-mode")) {
                 opt.sampleMode = *v;
@@ -177,24 +218,14 @@ parseCli(const std::vector<std::string> &args)
                     opt.error = "--sample-mode needs full or periodic";
             }
         } else if (arg == "--sample-window") {
-            auto v = value("--sample-window");
-            if (v && !parseU64(*v, opt.sampleWindow))
-                opt.error = "--sample-window needs a number "
-                            "(instructions per detailed window)";
+            number(opt.sampleWindow, " (instructions per detailed window)");
         } else if (arg == "--sample-period") {
-            auto v = value("--sample-period");
-            if (v && !parseU64(*v, opt.samplePeriod))
-                opt.error = "--sample-period needs a number "
-                            "(instructions per sampling period)";
+            number(opt.samplePeriod, " (instructions per sampling period)");
         } else if (arg == "--sample-seed") {
-            auto v = value("--sample-seed");
-            if (v && !parseU64(*v, opt.sampleSeed))
-                opt.error = "--sample-seed needs a number";
+            number(opt.sampleSeed);
         } else if (arg == "--sample-warm") {
-            auto v = value("--sample-warm");
-            if (v && !parseU64(*v, opt.sampleWarm))
-                opt.error = "--sample-warm needs a number (instructions "
-                            "warmed before each window; 0 = whole gap)";
+            number(opt.sampleWarm, " (instructions warmed before each "
+                                   "window; 0 = whole gap)");
         } else if (arg == "--trace-out") {
             if (auto v = value("--trace-out")) {
                 opt.traceOutPath = *v;
@@ -226,11 +257,8 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--why") {
             opt.why = true;
         } else if (arg == "--why-top") {
-            auto v = value("--why-top");
-            if (v && !parseU64(*v, opt.whyTop))
-                opt.error = "--why-top needs a number (PC table depth)";
-            else
-                opt.why = true;
+            number(opt.whyTop, " (PC table depth)");
+            opt.why = true;
         } else if (arg == "--physical") {
             opt.physical = true;
         } else if (arg == "--wrong-path") {
@@ -308,13 +336,10 @@ runCli(const CliOptions &opt)
       case CliOptions::Action::ShowConfig:
         std::fputs(sim::SimConfig{}.describe().c_str(), stdout);
         return 0;
-      case CliOptions::Action::ListPrefetchers: {
-        std::printf("none ideal l1i-64kb l1i-96kb\n");
-        for (const auto &id : prefetch::figure6Lineup())
+      case CliOptions::Action::ListPrefetchers:
+        for (const std::string &id : configIds())
             std::printf("%s\n", id.c_str());
-        std::printf("pif\n");
         return 0;
-      }
       case CliOptions::Action::ListWorkloads: {
         for (const auto &w : defaultCatalogue()) {
             trace::Program prog = trace::buildProgram(w.program);
@@ -347,19 +372,7 @@ runCli(const CliOptions &opt)
                                  "single-run facility)\n");
             return 2;
         }
-        RunSpec spec;
-        spec.configId = opt.prefetcher;
-        spec.dataPrefetcher = opt.dataPrefetcher;
-        spec.instructions = opt.instructions;
-        spec.warmup = opt.warmup;
-        spec.physicalL1i = opt.physical;
-        spec.why = opt.why;
-        spec.whyTop = opt.whyTop;
-        spec.sampleMode = opt.sampleMode;
-        spec.sampleWindow = opt.sampleWindow;
-        spec.samplePeriod = opt.samplePeriod;
-        spec.sampleSeed = opt.sampleSeed;
-        spec.sampleWarm = opt.sampleWarm;
+        RunSpec spec = specOf(opt);
         if (!opt.statsJsonPath.empty())
             spec.sampleInterval = opt.sampleInterval;
 
@@ -449,20 +462,7 @@ runCli(const CliOptions &opt)
                          opt.workload.c_str());
             return 2;
         }
-        RunSpec spec;
-        spec.configId = opt.prefetcher;
-        spec.dataPrefetcher = opt.dataPrefetcher;
-        spec.instructions = opt.instructions;
-        spec.warmup = opt.warmup;
-        spec.physicalL1i = opt.physical;
-        spec.wrongPath = opt.wrongPath;
-        spec.why = opt.why;
-        spec.whyTop = opt.whyTop;
-        spec.sampleMode = opt.sampleMode;
-        spec.sampleWindow = opt.sampleWindow;
-        spec.samplePeriod = opt.samplePeriod;
-        spec.sampleSeed = opt.sampleSeed;
-        spec.sampleWarm = opt.sampleWarm;
+        RunSpec spec = specOf(opt);
         if (!opt.statsJsonPath.empty()) {
             spec.collectCounters = true;
             spec.sampleInterval = opt.sampleInterval;

@@ -38,6 +38,13 @@ RunSpec::defaultSpec()
 
 namespace {
 
+/** The cache configurations: each id and what it does to the SimConfig. */
+const std::pair<const char *, void (*)(sim::SimConfig &)> kCacheConfigs[] = {
+    {"ideal", [](sim::SimConfig &cfg) { cfg.l1i.idealHit = true; }},
+    {"l1i-64kb", [](sim::SimConfig &cfg) { cfg.enlargeL1i(64); }},
+    {"l1i-96kb", [](sim::SimConfig &cfg) { cfg.enlargeL1i(96); }},
+};
+
 /** The catalogue, built once per process. Construction is expensive —
  *  cvpSuite() executes ~400k instructions per candidate seed to apply
  *  the paper's >= 1 L1I MPKI selection filter — which a one-shot CLI
@@ -57,6 +64,24 @@ catalogueMemo()
 }
 
 } // namespace
+
+bool
+knownConfigId(const std::string &id)
+{
+    for (const auto &config : kCacheConfigs)
+        if (id == config.first)
+            return true;
+    return prefetch::knownPrefetcherId(id);
+}
+
+std::vector<std::string>
+configIds()
+{
+    std::vector<std::string> ids = prefetch::prefetcherIds();
+    for (const auto &config : kCacheConfigs)
+        ids.emplace_back(config.first);
+    return ids;
+}
 
 std::vector<trace::Workload>
 defaultCatalogue()
@@ -169,15 +194,11 @@ runImpl(const trace::Workload &workload, const RunSpec &spec,
     cfg.modelWrongPath = spec.wrongPath;
 
     std::string pf_id = spec.configId;
-    if (spec.configId == "ideal") {
-        cfg.l1i.idealHit = true;
-        pf_id = "none";
-    } else if (spec.configId == "l1i-64kb") {
-        cfg.enlargeL1i(64);
-        pf_id = "none";
-    } else if (spec.configId == "l1i-96kb") {
-        cfg.enlargeL1i(96);
-        pf_id = "none";
+    for (const auto &[id, apply] : kCacheConfigs) {
+        if (spec.configId == id) {
+            apply(cfg);
+            pf_id = "none";
+        }
     }
 
     std::unique_ptr<sim::Prefetcher> prefetcher;

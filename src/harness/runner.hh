@@ -45,13 +45,15 @@ namespace eip::harness {
 /** One simulation request. */
 struct RunSpec
 {
-    /** Prefetcher id (see prefetch::makePrefetcher) or one of the cache
-     *  configurations: "ideal", "l1i-64kb", "l1i-96kb". */
+    /** An L1I prefetcher id of the factory table
+     *  (prefetch::prefetcherIds) or a cache configuration ("ideal",
+     *  "l1i-64kb", "l1i-96kb"); knownConfigId validates one. */
     std::string configId = "none";
     uint64_t instructions = 600000;
     uint64_t warmup = 300000;
     bool physicalL1i = false;
-    /** Optional L1D prefetcher id ("none" or "stride"). */
+    /** Optional L1D prefetcher id (prefetch::prefetcherIds(Side::L1d):
+     *  "none" or "stride"). */
     std::string dataPrefetcher = "none";
     /** Model wrong-path fetch after mispredictions
      *  (SimConfig::modelWrongPath). Result-affecting, so part of the
@@ -148,6 +150,17 @@ struct RunResult
      *  (index = bits needed; see CompressionScheme). */
     std::vector<double> destBitsFractions;
 };
+
+/** Does runOne accept @p id as RunSpec::configId: an L1I prefetcher id
+ *  or one of the cache configurations, which run without an L1I
+ *  prefetcher: "ideal" (every L1I access hits), "l1i-64kb" and
+ *  "l1i-96kb" (enlarged L1Is)? The one validator eipsim and eipd share;
+ *  runner.cc is the one place the cache configurations are named. */
+bool knownConfigId(const std::string &id);
+
+/** Every id knownConfigId accepts: the prefetcher ids, then the cache
+ *  configurations (eipsim --list-prefetchers). */
+std::vector<std::string> configIds();
 
 /** The full workload catalogue every surface serves from: the CVP-like
  *  suite (3 seeds per category), the CloudSuite-like applications, and

@@ -1,8 +1,12 @@
 #include "prefetch/factory.hh"
 
+#include <array>
+#include <functional>
+
 #include "core/entangling.hh"
 #include "prefetch/djolt.hh"
 #include "prefetch/fnl_mma.hh"
+#include "prefetch/lookahead.hh"
 #include "prefetch/mana.hh"
 #include "prefetch/nextline.hh"
 #include "prefetch/pif.hh"
@@ -16,30 +20,101 @@ namespace eip::prefetch {
 namespace {
 
 using core::EntanglingConfig;
-using core::EntanglingPrefetcher;
 using core::EntanglingVariant;
+using Build = std::function<std::unique_ptr<sim::Prefetcher>()>;
 
-/** Parse "-2k/-4k/-8k" size suffixes; returns 0 when absent. */
-unsigned
-sizeSuffix(const std::string &id)
+/** One id of the table: its constructor and the cache it attaches to. */
+struct Entry
 {
-    if (id.find("-2k") != std::string::npos)
-        return 2048;
-    if (id.find("-4k") != std::string::npos)
-        return 4096;
-    if (id.find("-8k") != std::string::npos)
-        return 8192;
-    return 0;
+    std::string id;
+    Build build;
+    Side side = Side::L1i;
+};
+
+/** A constructor of @p P from copies of @p args. */
+template <typename P, typename... Args>
+Build
+build(Args... args)
+{
+    return [args...] { return std::make_unique<P>(args...); };
 }
 
-EntanglingConfig
-entanglingConfigFor(unsigned entries, bool physical)
+Build
+entangling(EntanglingConfig cfg,
+           EntanglingVariant variant = EntanglingVariant::BBEntBBMerge)
 {
-    switch (entries) {
-      case 2048: return EntanglingConfig::preset2K(physical);
-      case 8192: return EntanglingConfig::preset8K(physical);
-      default: return EntanglingConfig::preset4K(physical);
-    }
+    cfg.variant = variant;
+    return build<core::EntanglingPrefetcher>(cfg);
+}
+
+/** Every id except "none", built once: lookups scan it, never rebuild. */
+const std::vector<Entry> &
+table()
+{
+    static const std::vector<Entry> entries = [] {
+        std::vector<Entry> t = {
+            {"nextline", build<NextLinePrefetcher>()},
+            {"sn4l", build<Sn4lPrefetcher>()},
+            {"mana-2k", build<ManaPrefetcher>(ManaConfig{.entries = 2048})},
+            {"mana-4k", build<ManaPrefetcher>(ManaConfig{.entries = 4096})},
+            {"mana-8k", build<ManaPrefetcher>(ManaConfig{.entries = 8192})},
+            {"rdip", build<RdipPrefetcher>(RdipConfig{})},
+            {"djolt", build<DjoltPrefetcher>(DjoltConfig{})},
+            {"fnl+mma", build<FnlMmaPrefetcher>(FnlMmaConfig{})},
+            {"pif", build<PifPrefetcher>(PifConfig{})},
+            {"epi", entangling(EntanglingConfig::presetEpi())},
+        };
+        // The paper's three sizes, virtual then physical, and the Fig. 11
+        // ablation variants at each size.
+        const std::pair<const char *, EntanglingConfig (*)(bool)> sizes[] = {
+            {"2k", EntanglingConfig::preset2K},
+            {"4k", EntanglingConfig::preset4K},
+            {"8k", EntanglingConfig::preset8K}};
+        for (const char *suffix : {"", "-phys"})
+            for (const auto &[size, preset] : sizes)
+                t.push_back({std::string("entangling-") + size + suffix,
+                             entangling(preset(*suffix != '\0'))});
+        const std::pair<const char *, EntanglingVariant> variants[] = {
+            {"bb", EntanglingVariant::BB},
+            {"ent", EntanglingVariant::Ent},
+            {"bbent", EntanglingVariant::BBEnt},
+            {"bbentbb", EntanglingVariant::BBEntBB}};
+        for (const auto &[prefix, variant] : variants)
+            for (const auto &[size, preset] : sizes)
+                t.push_back({std::string(prefix) + "-" + size,
+                             entangling(preset(false), variant)});
+
+        // Extensions: §III-C1 commit-time training, and §III-C3 split
+        // bb/pair storage named by pair-table size, as name() prints it.
+        EntanglingConfig commit = EntanglingConfig::preset4K();
+        commit.commitTimeTraining = true;
+        t.push_back({"entangling-4k-commit", entangling(commit)});
+        t.push_back({"entangling-split-1k",
+                     entangling(EntanglingConfig::presetSplit())});
+        t.push_back({"entangling-split-512",
+                     entangling(EntanglingConfig::presetSplit(512, 8192))});
+        t.push_back({"entangling-split-2k",
+                     entangling(EntanglingConfig::presetSplit(2048, 8192))});
+
+        // The motivation figures: Fig. 2's fixed distances, Fig. 1's oracle.
+        for (unsigned d : kLookaheadDistances)
+            t.push_back({"lookahead-" + std::to_string(d),
+                         build<LookaheadPrefetcher>(d)});
+        t.push_back({"lookahead-oracle", build<LookaheadOracle>()});
+
+        t.push_back({"stride", build<StridePrefetcher>(), Side::L1d});
+        return t;
+    }();
+    return entries;
+}
+
+const Entry *
+find(const std::string &id)
+{
+    for (const Entry &e : table())
+        if (e.id == id)
+            return &e;
+    return nullptr;
 }
 
 } // namespace
@@ -47,75 +122,31 @@ entanglingConfigFor(unsigned entries, bool physical)
 std::unique_ptr<sim::Prefetcher>
 makePrefetcher(const std::string &id)
 {
-    if (id == "none" || id == "ideal")
+    if (id == "none")
         return nullptr;
-    if (id == "nextline")
-        return std::make_unique<NextLinePrefetcher>();
-    if (id == "sn4l")
-        return std::make_unique<Sn4lPrefetcher>();
-    if (id.rfind("mana", 0) == 0) {
-        ManaConfig cfg;
-        cfg.entries = sizeSuffix(id) ? sizeSuffix(id) : 4096;
-        return std::make_unique<ManaPrefetcher>(cfg);
-    }
-    if (id == "stride")
-        return std::make_unique<StridePrefetcher>();
-    if (id == "pif")
-        return std::make_unique<PifPrefetcher>(PifConfig{});
-    if (id == "rdip")
-        return std::make_unique<RdipPrefetcher>(RdipConfig{});
-    if (id == "djolt")
-        return std::make_unique<DjoltPrefetcher>(DjoltConfig{});
-    if (id == "fnl+mma")
-        return std::make_unique<FnlMmaPrefetcher>(FnlMmaConfig{});
-    if (id == "epi")
-        return std::make_unique<EntanglingPrefetcher>(
-            EntanglingConfig::presetEpi());
-
-    bool physical = id.find("-phys") != std::string::npos;
-    unsigned entries = sizeSuffix(id) ? sizeSuffix(id) : 4096;
-    EntanglingConfig cfg = entanglingConfigFor(entries, physical);
-    if (id.rfind("entangling", 0) == 0) {
-        return std::make_unique<EntanglingPrefetcher>(cfg);
-    }
-    if (id.rfind("bbentbb", 0) == 0) {
-        cfg.variant = EntanglingVariant::BBEntBB;
-        return std::make_unique<EntanglingPrefetcher>(cfg);
-    }
-    if (id.rfind("bbent", 0) == 0) {
-        cfg.variant = EntanglingVariant::BBEnt;
-        return std::make_unique<EntanglingPrefetcher>(cfg);
-    }
-    if (id.rfind("bb", 0) == 0) {
-        cfg.variant = EntanglingVariant::BB;
-        return std::make_unique<EntanglingPrefetcher>(cfg);
-    }
-    if (id.rfind("ent", 0) == 0) {
-        cfg.variant = EntanglingVariant::Ent;
-        return std::make_unique<EntanglingPrefetcher>(cfg);
-    }
-    EIP_FATAL("unknown prefetcher id");
+    const Entry *e = find(id);
+    if (e == nullptr)
+        EIP_FATAL("unknown prefetcher id (see prefetch::prefetcherIds)");
+    return e->build();
 }
 
 bool
-knownPrefetcherId(const std::string &id)
+knownPrefetcherId(const std::string &id, Side side)
 {
-    // Mirrors makePrefetcher's dispatch: exact ids first, then the
-    // prefix families it constructs configurations for.
-    static const char *exact[] = {"none",  "ideal", "nextline", "sn4l",
-                                  "stride", "pif",  "rdip",     "djolt",
-                                  "fnl+mma", "epi"};
-    for (const char *known : exact) {
-        if (id == known)
-            return true;
-    }
-    static const char *families[] = {"mana", "entangling", "bbentbb",
-                                     "bbent", "bb", "ent"};
-    for (const char *family : families) {
-        if (id.rfind(family, 0) == 0)
-            return true;
-    }
-    return false;
+    const Entry *e = find(id);
+    return id == "none" || (e != nullptr && e->side == side);
+}
+
+const std::vector<std::string> &
+prefetcherIds(Side side)
+{
+    static const auto ids = [] {
+        std::vector<std::string> out[] = {{"none"}, {"none"}};
+        for (const Entry &e : table())
+            out[static_cast<int>(e.side)].push_back(e.id);
+        return std::to_array(std::move(out));
+    }();
+    return ids[static_cast<int>(side)];
 }
 
 std::vector<std::string>

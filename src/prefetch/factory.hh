@@ -1,7 +1,8 @@
 /**
  * @file
- * Prefetcher factory: creates any prefetcher evaluated in the paper by its
- * name, and enumerates the standard line-ups used by the benches.
+ * Prefetcher factory: the one table of prefetcher ids that every surface
+ * (eipsim, eipd, the figures driver) accepts, the constructor behind each
+ * id, and the standard line-ups used by the figures.
  */
 
 #ifndef EIP_PREFETCH_FACTORY_HH
@@ -15,23 +16,36 @@
 
 namespace eip::prefetch {
 
+/** The cache a prefetcher id attaches to. */
+enum class Side
+{
+    L1i,
+    L1d,
+};
+
 /**
- * Create a prefetcher by identifier. Known ids:
- *   none, nextline, sn4l, mana-2k, mana-4k, mana-8k, rdip, djolt, fnl+mma,
- *   pif, epi, entangling-2k, entangling-4k, entangling-8k (append "-phys" to an
- *   entangling id for physical-address compression), and the ablation
- *   variants bb-NK, bbent-NK, bbentbb-NK, ent-NK (N in {2,4,8}).
- * Returns nullptr for "none" (and for "ideal", which is a cache mode, not
- * a prefetcher). Aborts on unknown ids.
+ * Create a prefetcher by id. Ids are exact; prefetcherIds() lists them
+ * per side:
+ *   none, nextline, sn4l, mana-{2k,4k,8k}, rdip, djolt, fnl+mma, pif, epi,
+ *   entangling-{2k,4k,8k}[-phys] (-phys: physical-address compression),
+ *   the Fig. 11 ablation variants {bb,ent,bbent,bbentbb}-{2k,4k,8k}, the
+ *   extensions entangling-4k-commit (§III-C1 commit-time training) and
+ *   entangling-split-{1k,512,2k} (§III-C3 split bb/pair storage, named
+ *   by their pair-table size), the motivation figures' lookahead-<d>
+ *   (Fig. 2, d in kLookaheadDistances) and lookahead-oracle (Fig. 1),
+ *   and the L1D prefetcher stride.
+ * Returns nullptr for "none". Aborts on any other id; validate untrusted
+ * input with knownPrefetcherId first. Cache configurations ("ideal",
+ * larger L1Is) are not prefetchers: harness::knownConfigId owns them.
  */
 std::unique_ptr<sim::Prefetcher> makePrefetcher(const std::string &id);
 
-/**
- * Would makePrefetcher accept @p id? Lets request validators (the eipd
- * job server) reject an unknown id with a structured error instead of
- * the worker dying on makePrefetcher's fatal.
- */
-bool knownPrefetcherId(const std::string &id);
+/** Is @p id a table id for @p side ("none" is one for both)? */
+bool knownPrefetcherId(const std::string &id, Side side = Side::L1i);
+
+/** Every id of @p side, "none" first, in table order (L1D: none,
+ *  stride). */
+const std::vector<std::string> &prefetcherIds(Side side = Side::L1i);
 
 /** The sub-64KB line-up used by the per-workload figures (Fig. 7-10). */
 std::vector<std::string> mainLineup();

@@ -13,12 +13,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/registry.hh"
 #include "sim/cache.hh"
 #include "sim/prefetcher_api.hh"
 #include "util/ring.hh"
 #include "util/histogram.hh"
 
 namespace eip::prefetch {
+
+/** The fixed look-ahead distances the factory names lookahead-<d>: the
+ *  x-axis of Fig. 2. */
+inline constexpr unsigned kLookaheadDistances[] = {1, 2, 4, 6, 8, 10};
 
 /**
  * Markov-style discontinuity prefetcher with a fixed look-ahead distance n:
@@ -91,8 +96,21 @@ class LookaheadOracle : public sim::Prefetcher
         : requiredDistance(kMaxDistance), discontinuities(512)
     {}
 
+    /** Distances 1..kReportedDistances get a timely-fraction gauge. */
+    static constexpr unsigned kReportedDistances = 10;
+
     std::string name() const override { return "LookaheadOracle"; }
     uint64_t storageBits() const override { return 0; }
+
+    /** Exports timelyFraction(d) as the gauge "lookahead.timely_d<d>"
+     *  for every d in 1..kReportedDistances. */
+    void
+    registerStats(obs::CounterRegistry &reg) override
+    {
+        for (unsigned d = 1; d <= kReportedDistances; ++d)
+            reg.gauge("lookahead.timely_d" + std::to_string(d),
+                      [this, d] { return timelyFraction(d); });
+    }
 
     void
     onBranch(sim::Addr pc, trace::BranchType type, sim::Addr target) override

@@ -23,14 +23,6 @@ namespace eip::serve {
 
 namespace {
 
-/** Cache-geometry config ids runOne accepts that are not prefetcher
- *  ids (see RunSpec::configId). */
-bool
-isCacheConfigId(const std::string &id)
-{
-    return id == "ideal" || id == "l1i-64kb" || id == "l1i-96kb";
-}
-
 /** Open a response document with the shared envelope fields. */
 obs::JsonWriter
 responseHead(Request::Op op, const char *status)
@@ -471,10 +463,10 @@ Daemon::handleSubmit(const RunRequest &run)
     std::string invalid;
     if (!harness::findWorkload(run.workload, workload))
         invalid = "unknown workload '" + run.workload + "'";
-    else if (!isCacheConfigId(run.prefetcher) &&
-             !prefetch::knownPrefetcherId(run.prefetcher))
+    else if (!harness::knownConfigId(run.prefetcher))
         invalid = "unknown prefetcher '" + run.prefetcher + "'";
-    else if (!prefetch::knownPrefetcherId(run.dataPrefetcher))
+    else if (!prefetch::knownPrefetcherId(run.dataPrefetcher,
+                                         prefetch::Side::L1d))
         invalid = "unknown data prefetcher '" + run.dataPrefetcher + "'";
     if (!invalid.empty()) {
         invalid_.fetch_add(1);

@@ -155,6 +155,9 @@ parseArgs(int argc, char **argv)
             opt.full = true;
         } else if (arg == "--prefetcher") {
             opt.prefetcher = value("--prefetcher");
+            if (opt.error.empty() && !harness::knownConfigId(opt.prefetcher))
+                opt.error = "--prefetcher: unknown config id '" +
+                            opt.prefetcher + "'";
         } else if (arg == "--help" || arg == "-h") {
             opt.help = true;
         } else {

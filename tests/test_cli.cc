@@ -163,6 +163,47 @@ TEST(Cli, RunCliRejectsBadInput)
               2);
 }
 
+TEST(Cli, PrefetcherIdsAreValidated)
+{
+    EXPECT_TRUE(parse({"--prefetcher", "lookahead-oracle"}).error.empty());
+    EXPECT_TRUE(parse({"--prefetcher", "l1i-96kb"}).error.empty());
+    EXPECT_TRUE(parse({"--data-prefetcher", "stride"}).error.empty());
+    for (const char *id : {"entangling-16k", "bbq", "manatee", "stride"})
+        EXPECT_NE(parse({"--prefetcher", id}).error.find(
+                      "unknown prefetcher"),
+                  std::string::npos)
+            << id;
+    // An L1I prefetcher on the L1D is a usage error (exit 2), not a
+    // fatal or a silent run that issues nothing.
+    for (const char *id : {"djolt", "entangling-4k", "ideal"}) {
+        CliOptions opt = parse({"--data-prefetcher", id});
+        EXPECT_NE(opt.error.find("unknown data prefetcher"),
+                  std::string::npos)
+            << id;
+        EXPECT_EQ(runCli(opt), 2) << id;
+    }
+}
+
+TEST(Cli, ListedPrefetchersAreExactlyTheAcceptedIds)
+{
+    ::testing::internal::CaptureStdout();
+    ASSERT_EQ(runCli(parse({"--list-prefetchers"})), 0);
+    std::istringstream listed(::testing::internal::GetCapturedStdout());
+    std::vector<std::string> ids;
+    for (std::string id; std::getline(listed, id);) {
+        EXPECT_TRUE(knownConfigId(id)) << id;
+        EXPECT_TRUE(parse({"--prefetcher", id.c_str()}).error.empty()) << id;
+        ids.push_back(id);
+    }
+    EXPECT_EQ(ids, configIds());
+    for (const char *id : {"none", "ideal", "lookahead-oracle",
+                           "entangling-4k-phys", "bbentbb-8k",
+                           "entangling-split-512"})
+        EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+    // The usage text lists them from the same table.
+    EXPECT_NE(cliUsage().find("lookahead-oracle"), std::string::npos);
+}
+
 TEST(Cli, RunCliInformationalActionsSucceed)
 {
     EXPECT_EQ(runCli(parse({"--help"})), 0);

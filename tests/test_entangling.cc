@@ -468,7 +468,7 @@ TEST_F(EntanglingTest, PhysicalSchemeConstrainsDestinations)
 
 TEST_F(EntanglingTest, SplitTablesTrackSizesSeparately)
 {
-    EntanglingConfig cfg = EntanglingConfig::presetSplit2K();
+    EntanglingConfig cfg = EntanglingConfig::presetSplit();
     attach(cfg);
     EXPECT_EQ(pf->name(), "Entangling-split-1K");
     // A completed basic block lands in the side table, not the pairs
@@ -486,7 +486,7 @@ TEST_F(EntanglingTest, SplitTablesTrackSizesSeparately)
 TEST_F(EntanglingTest, SplitStorageCheaperThanUnifiedAtSameReach)
 {
     EntanglingConfig unified = EntanglingConfig::preset2K();
-    EntanglingConfig split = EntanglingConfig::presetSplit2K();
+    EntanglingConfig split = EntanglingConfig::presetSplit();
     EntanglingPrefetcher u(unified), v(split);
     // The split preset tracks 2x the basic blocks (4K vs 2K entries)
     // within a smaller total budget.

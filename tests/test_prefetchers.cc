@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/registry.hh"
 #include "prefetch/djolt.hh"
 #include "prefetch/factory.hh"
 #include "prefetch/fnl_mma.hh"
@@ -306,6 +307,16 @@ TEST(LookaheadOracle, MeasuresRequiredDistance)
     EXPECT_DOUBLE_EQ(oracle.timelyFraction(3), 1.0);
     // The oracle never issues prefetches.
     EXPECT_EQ(host.requested(), 0u);
+
+    // Its gauges export the same fractions, d = 1..10.
+    obs::CounterRegistry registry;
+    oracle.registerStats(registry);
+    obs::CounterDump dump = registry.dump();
+    ASSERT_EQ(dump.gauges.size(), LookaheadOracle::kReportedDistances);
+    for (unsigned d = 1; d <= LookaheadOracle::kReportedDistances; ++d)
+        EXPECT_EQ(dump.gauge("lookahead.timely_d" + std::to_string(d)),
+                  oracle.timelyFraction(d))
+            << d;
 }
 
 TEST(Stride, DetectsConstantStride)
@@ -362,7 +373,66 @@ TEST(Factory, CreatesEveryKnownId)
         EXPECT_GE(pf->storageBits(), 0u);
     }
     EXPECT_EQ(makePrefetcher("none"), nullptr);
-    EXPECT_EQ(makePrefetcher("ideal"), nullptr);
+    // "ideal" is a cache configuration the harness owns, not a prefetcher.
+    EXPECT_FALSE(knownPrefetcherId("ideal"));
+}
+
+TEST(Factory, EveryListedIdBuildsAndIsKnown)
+{
+    EXPECT_EQ(prefetcherIds().front(), "none");
+    EXPECT_EQ(prefetcherIds(Side::L1d),
+              (std::vector<std::string>{"none", "stride"}));
+    for (const std::string &id : prefetcherIds()) {
+        EXPECT_TRUE(knownPrefetcherId(id)) << id;
+        EXPECT_EQ(makePrefetcher(id) != nullptr, id != "none") << id;
+    }
+    for (const std::string &id : prefetcherIds(Side::L1d))
+        EXPECT_TRUE(knownPrefetcherId(id, Side::L1d)) << id;
+    // The two sides do not mix.
+    EXPECT_FALSE(knownPrefetcherId("stride"));
+    EXPECT_FALSE(knownPrefetcherId("djolt", Side::L1d));
+    EXPECT_FALSE(knownPrefetcherId("entangling-4k", Side::L1d));
+}
+
+TEST(Factory, IdsAreExact)
+{
+    // Each of these once matched a family prefix and ran some other
+    // configuration (entangling-16k ran Entangling-4K, bbq BB-4K).
+    for (const char *id :
+         {"entangling-16k", "bbq", "manatee", "mana", "entangling", "bb",
+          "ent", "entangling-4k-physical", "bb-4k-phys", "lookahead-3",
+          "lookahead", "Entangling-4K", "nextline ", "", "ideal", "stride",
+          "l1i-64kb"})
+        EXPECT_FALSE(knownPrefetcherId(id)) << "'" << id << "'";
+    for (const char *id : {"", "stride-l1d", "djolt", "nextline"})
+        EXPECT_FALSE(knownPrefetcherId(id, Side::L1d)) << "'" << id << "'";
+    EXPECT_DEATH(makePrefetcher("entangling-16k"), "unknown prefetcher");
+}
+
+TEST(Factory, FigureArmsKeepTheirNames)
+{
+    // The figures print name() as the row label, so the ids of the
+    // motivation and extension arms must build the configurations the
+    // figures always printed.
+    const std::pair<const char *, const char *> names[] = {
+        {"entangling-4k-commit", "Entangling-4K"},
+        {"entangling-split-1k", "Entangling-split-1K"},
+        {"entangling-split-512", "Entangling-split-512"},
+        {"entangling-split-2k", "Entangling-split-2K"},
+        {"lookahead-6", "Lookahead-6"},
+        {"lookahead-oracle", "LookaheadOracle"},
+    };
+    for (const auto &[id, name] : names)
+        EXPECT_EQ(makePrefetcher(id)->name(), name) << id;
+    for (unsigned d : kLookaheadDistances)
+        EXPECT_TRUE(knownPrefetcherId("lookahead-" + std::to_string(d)));
+    // The split ids sit at the budgets the extension compares: each
+    // below or near the unified table it is listed after.
+    auto kb = [](const char *id) {
+        return makePrefetcher(id)->storageBits() / 8.0 / 1024.0;
+    };
+    EXPECT_LT(kb("entangling-split-1k"), kb("entangling-2k"));
+    EXPECT_LT(kb("entangling-split-2k"), kb("entangling-4k"));
 }
 
 TEST(Factory, LineupsAreKnownIds)

@@ -439,18 +439,35 @@ TEST(ServeDaemon, InvalidRequestsGetStructuredErrors)
     EXPECT_FALSE(outcome.rejected);
     EXPECT_NE(outcome.error.find("unknown workload"), std::string::npos);
 
-    serve::RunRequest bad_prefetcher = tinyRequest();
-    bad_prefetcher.prefetcher = "no-such-prefetcher";
-    ASSERT_TRUE(client.submit(bad_prefetcher, outcome, &error)) << error;
-    EXPECT_FALSE(outcome.accepted);
-    EXPECT_NE(outcome.error.find("unknown prefetcher"), std::string::npos);
+    // Ids are exact: these once matched a family prefix and ran (and
+    // were cached under their own key as) some other configuration.
+    for (const char *id : {"no-such-prefetcher", "entangling-16k", "bbq",
+                           "manatee", "stride"}) {
+        serve::RunRequest bad_prefetcher = tinyRequest();
+        bad_prefetcher.prefetcher = id;
+        ASSERT_TRUE(client.submit(bad_prefetcher, outcome, &error)) << error;
+        EXPECT_FALSE(outcome.accepted) << id;
+        EXPECT_NE(outcome.error.find("unknown prefetcher"), std::string::npos)
+            << id;
+    }
+
+    // The L1D takes only the data-side ids.
+    for (const char *id : {"djolt", "entangling-4k", "ideal"}) {
+        serve::RunRequest bad_data = tinyRequest();
+        bad_data.dataPrefetcher = id;
+        ASSERT_TRUE(client.submit(bad_data, outcome, &error)) << error;
+        EXPECT_FALSE(outcome.accepted) << id;
+        EXPECT_NE(outcome.error.find("unknown data prefetcher"),
+                  std::string::npos)
+            << id;
+    }
 
     serve::JobView view;
     EXPECT_FALSE(client.status(999, view, &error));
     EXPECT_NE(error.find("unknown job"), std::string::npos);
 
     obs::CounterDump stats = daemon.statsDump();
-    EXPECT_GE(stats.counter("serve.invalid").value(), 3u);
+    EXPECT_GE(stats.counter("serve.invalid").value(), 10u);
 
     daemon.stop();
 }
