@@ -211,12 +211,8 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--sample-interval") {
             number(opt.sampleInterval, " (instructions; 0 = off)");
         } else if (arg == "--sample-mode") {
-            if (auto v = value("--sample-mode")) {
+            if (auto v = value("--sample-mode"))
                 opt.sampleMode = *v;
-                sample::Mode mode;
-                if (!sample::parseMode(*v, &mode))
-                    opt.error = "--sample-mode needs full or periodic";
-            }
         } else if (arg == "--sample-window") {
             number(opt.sampleWindow, " (instructions per detailed window)");
         } else if (arg == "--sample-period") {
@@ -275,15 +271,12 @@ parseCli(const std::vector<std::string> &args)
     }
     if (opt.instructions == 0)
         opt.error = "--instructions must be positive";
-    // Mirror sample::validateSpec at the CLI boundary so a bad schedule
-    // is a usage error with help text, not a runtime panic.
-    if (opt.error.empty() && opt.sampleMode == "periodic") {
-        if (opt.sampleWindow == 0)
-            opt.error = "--sample-mode periodic needs a positive "
-                        "--sample-window";
-        else if (opt.samplePeriod < opt.sampleWindow)
-            opt.error = "--sample-period must be at least --sample-window";
-    }
+    // The schedule rules at the CLI boundary, so a bad schedule is a
+    // usage error with help text, not a runtime panic.
+    if (opt.error.empty())
+        opt.error = sample::scheduleError(opt.sampleMode, opt.sampleWindow,
+                                          opt.samplePeriod,
+                                          opt.instructions);
     return opt;
 }
 

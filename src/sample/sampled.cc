@@ -58,7 +58,7 @@ runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
             result.summary.warmedInstructions += phase.warm;
         }
         if (first) {
-            cpu.beginSampledMeasurement();
+            cpu.beginMeasurement();
             first = false;
         }
         if (profiler != nullptr)
@@ -68,10 +68,12 @@ runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
             cpi_cycles = w.cycles;
             cpi_instructions = w.instructions;
         }
-        ipc.add(w.ipc());
-        mpki.add(w.mpki());
-        coverage.add(w.coverage());
-        accuracy.add(w.accuracy());
+        ipc.add(sim::ipcOf(w.instructions, w.cycles));
+        mpki.add(sim::mpkiOf(w.l1iDemandMisses, w.instructions));
+        coverage.add(sim::coverageOf(w.l1iUsefulPrefetches,
+                                     w.l1iDemandMisses, w.l1iLatePrefetches));
+        accuracy.add(sim::accuracyOf(w.l1iUsefulPrefetches,
+                                     w.l1iPrefetchIssued));
         ++result.summary.windows;
         result.summary.windowInstructions += w.instructions;
     }
@@ -83,7 +85,7 @@ runSampled(sim::Cpu &cpu, trace::InstructionSource &trace,
     result.summary.l1iMpki = summarize(mpki);
     result.summary.l1iCoverage = summarize(coverage);
     result.summary.l1iAccuracy = summarize(accuracy);
-    result.stats = cpu.sampledStats();
+    result.stats = cpu.stats();
     return result;
 }
 

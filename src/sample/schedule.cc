@@ -27,15 +27,30 @@ modeName(Mode mode)
     return mode == Mode::Full ? "full" : "periodic";
 }
 
+std::string
+scheduleError(const std::string &mode, uint64_t window, uint64_t period,
+              uint64_t instructions)
+{
+    Mode parsed;
+    if (!parseMode(mode, &parsed))
+        return "sample mode must be full or periodic";
+    if (parsed == Mode::Full)
+        return "";
+    if (window == 0)
+        return "sample window must be positive";
+    if (period < window)
+        return "sample period must be at least the window length";
+    if (instructions == 0)
+        return "instruction budget must be positive";
+    return "";
+}
+
 void
 validateSpec(const SampleSpec &spec, uint64_t instructions)
 {
-    if (spec.mode == Mode::Full)
-        return;
-    EIP_ASSERT(spec.window > 0, "sample window must be positive");
-    EIP_ASSERT(spec.period >= spec.window,
-               "sample period must be at least the window length");
-    EIP_ASSERT(instructions > 0, "instruction budget must be positive");
+    const std::string error = scheduleError(
+        modeName(spec.mode), spec.window, spec.period, instructions);
+    EIP_ASSERT(error.empty(), error.c_str());
 }
 
 uint64_t

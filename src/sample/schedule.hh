@@ -54,11 +54,17 @@ struct SampleSpec
 };
 
 /**
- * Validate a periodic spec against an instruction budget; EIP_ASSERTs
- * (fatal) on degenerate schedules: zero-instruction windows and periods
- * shorter than their window can only produce nonsense estimates, so
- * they are configuration errors, not data points.
+ * The schedule rules, one home for every boundary (the CLI flags, eipd's
+ * submit parser, validateSpec): why a schedule of @p mode ("full" or
+ * "periodic") with @p window / @p period cannot run over @p instructions,
+ * or "" when it can. Zero-instruction windows and periods shorter than
+ * their window can only produce nonsense estimates, so they are
+ * configuration errors, not data points. Full mode ignores the rest.
  */
+std::string scheduleError(const std::string &mode, uint64_t window,
+                          uint64_t period, uint64_t instructions);
+
+/** EIP_ASSERT (fatal) that @p spec passes scheduleError. */
 void validateSpec(const SampleSpec &spec, uint64_t instructions);
 
 /**

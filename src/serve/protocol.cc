@@ -4,6 +4,7 @@
 
 #include "obs/json.hh"
 #include "obs/manifest.hh"
+#include "sample/schedule.hh"
 
 namespace eip::serve {
 
@@ -201,20 +202,11 @@ parseRequest(const std::string &line, Request &out, std::string &error)
           }
           // Schedule validation lives here, not in the worker: a bad
           // schedule must be a rejected request, never a daemon panic.
-          if (r.sampleMode != "full" && r.sampleMode != "periodic") {
-              error = "submit sample_mode must be 'full' or 'periodic'";
+          error = sample::scheduleError(r.sampleMode, r.sampleWindow,
+                                        r.samplePeriod, r.instructions);
+          if (!error.empty()) {
+              error = "submit " + error;
               return false;
-          }
-          if (r.sampleMode == "periodic") {
-              if (r.sampleWindow == 0) {
-                  error = "submit sample_window must be positive";
-                  return false;
-              }
-              if (r.samplePeriod < r.sampleWindow) {
-                  error = "submit sample_period must be at least "
-                          "sample_window";
-                  return false;
-              }
           }
           break;
       }

@@ -570,14 +570,30 @@ Cpu::skipIdleCycles(Cycle watchdog)
     }
     chargeStall(reason, now + 1, window);
     now += window;
+    cycles_ += window;
 }
 
-template <typename Done>
-void
-Cpu::simulate(trace::InstructionSource &trace, Cycle watchdog, Done done)
+Cpu::WindowStats
+Cpu::runWindow(trace::InstructionSource &trace, uint64_t instructions,
+               obs::IntervalSampler *sampler)
 {
+    EIP_ASSERT(instructions > 0, "window budget must be positive");
+
+    const CacheStats &l1i_stats = l1i_->stats();
+    const WindowStats start{retired,
+                            cycles_,
+                            l1i_stats.demandMisses,
+                            l1i_stats.usefulPrefetches,
+                            l1i_stats.latePrefetches,
+                            l1i_stats.prefetchIssued};
+    const uint64_t target = retired + instructions;
+    // Generous watchdog: the core cannot be slower than 1 instruction per
+    // 10k cycles unless the pipeline deadlocked (a bug).
+    const Cycle watchdog = now + 10000 * instructions + 10'000'000;
+
     while (true) {
         ++now;
+        ++cycles_;
         retireStage();
         fetchStage();
         // Guarded stage calls: both stages are no-ops (their first check
@@ -597,27 +613,35 @@ Cpu::simulate(trace::InstructionSource &trace, Cycle watchdog, Done done)
         // call, so audits land only on cycles that act.
         if (checks_ != nullptr)
             checks_->run(now);
+        if (sampler != nullptr)
+            sampler->tick(retired - measureStartRetired_, cycles_);
 
-        if (done())
+        if (retired >= target)
             break;
         EIP_ASSERT(now < watchdog, "pipeline deadlock (watchdog expired)");
         if (!perCycleReference_)
             skipIdleCycles(watchdog);
     }
 
-    // End-of-run sweep: strided audits run once more regardless of where
-    // their stride counter ended up.
+    // End-of-window sweep: strided audits run once more regardless of
+    // where their stride counter ended up.
     if (checks_ != nullptr)
         checks_->runAll(now);
+
+    return WindowStats{retired - start.instructions,
+                       cycles_ - start.cycles,
+                       l1i_stats.demandMisses - start.l1iDemandMisses,
+                       l1i_stats.usefulPrefetches - start.l1iUsefulPrefetches,
+                       l1i_stats.latePrefetches - start.l1iLatePrefetches,
+                       l1i_stats.prefetchIssued - start.l1iPrefetchIssued};
 }
 
 void
-Cpu::resetMeasurement()
+Cpu::beginMeasurement()
 {
-    measuring_ = true;
     measureStartRetired_ = retired;
-    measureStartCycle_ = now;
     dramStart_ = dram_->accesses();
+    cycles_ = 0;
     l1i_->stats() = CacheStats{};
     l1d_->stats() = CacheStats{};
     l2_->stats() = CacheStats{};
@@ -641,21 +665,12 @@ Cpu::resetMeasurement()
         why_->measurementBoundary();
 }
 
-uint64_t
-Cpu::measuredCycles() const
-{
-    // Sampled runs: warming advances `now` without charging cycles, so
-    // the measured cycle count is the in-window accumulator.
-    return sampledMode_ ? sampledCycles_
-                        : static_cast<uint64_t>(now - measureStartCycle_);
-}
-
 SimStats
-Cpu::collectStats() const
+Cpu::stats() const
 {
     SimStats stats;
     stats.instructions = retired - measureStartRetired_;
-    stats.cycles = measuredCycles();
+    stats.cycles = cycles_;
     stats.branches = branches;
     stats.branchMispredicts = branchMispredicts;
     stats.btbMisses = btbMisses;
@@ -679,39 +694,24 @@ Cpu::run(trace::InstructionSource &trace, uint64_t instructions,
 {
     EIP_ASSERT(instructions > 0, "instruction budget must be positive");
 
-    // Phase attribution happens at the three boundaries only (entry,
-    // warm-up end, loop exit) — the hot loop never sees the profiler.
+    // Phase attribution happens between windows only (entry, warm-up
+    // end, exit) — the cycle loop never sees the profiler. A run without
+    // warm-up measures from construction: there is nothing to discard.
+    if (warmup_instructions > 0) {
+        if (profiler != nullptr)
+            profiler->transition("warmup");
+        runWindow(trace, warmup_instructions);
+        beginMeasurement();
+    }
     if (profiler != nullptr)
-        profiler->transition(warmup_instructions == 0 ? "measure"
-                                                      : "warmup");
+        profiler->transition("measure");
+    runWindow(trace, instructions, sampler);
 
-    measuring_ = warmup_instructions == 0;
-    measureStartRetired_ = retired;
-    measureStartCycle_ = now;
-    dramStart_ = dram_->accesses();
-
-    // Generous watchdog: the core cannot be slower than 1 instruction per
-    // 10k cycles unless the pipeline deadlocked (a bug).
-    const Cycle watchdog =
-        10000 * (warmup_instructions + instructions) + 10'000'000;
-
-    simulate(trace, watchdog, [&] {
-        if (!measuring_ && retired >= warmup_instructions) {
-            resetMeasurement();
-            if (profiler != nullptr)
-                profiler->transition("measure");
-        }
-        if (measuring_ && sampler != nullptr)
-            sampler->tick(retired - measureStartRetired_,
-                          now - measureStartCycle_);
-        return measuring_ && retired >= measureStartRetired_ + instructions;
-    });
-
-    // Everything past the loop — stats assembly here, registry dump and
-    // analysis extraction in the caller — is fill/drain bookkeeping.
+    // Everything past the window — stats assembly here, registry dump
+    // and analysis extraction in the caller — is fill/drain bookkeeping.
     if (profiler != nullptr)
         profiler->transition("fill_drain");
-    return collectStats();
+    return stats();
 }
 
 uint64_t
@@ -723,6 +723,7 @@ Cpu::statsFingerprint() const
         h *= 1099511628211ULL;
     };
     mix(retired);
+    mix(cycles_);
     mix(branches);
     mix(branchMispredicts);
     mix(btbMisses);
@@ -815,63 +816,13 @@ Cpu::warmFunctional(trace::InstructionSource &trace, uint64_t instructions,
 }
 
 void
-Cpu::beginSampledMeasurement()
-{
-    // run()'s warm-up boundary: reset every statistic and pin the
-    // measurement origin. Warming freezes statistics afterwards, so the
-    // cumulative counters equal the sum over detailed windows.
-    sampledMode_ = true;
-    sampledCycles_ = 0;
-    resetMeasurement();
-}
-
-Cpu::WindowStats
-Cpu::runWindow(trace::InstructionSource &trace, uint64_t instructions)
-{
-    EIP_ASSERT(sampledMode_,
-               "runWindow requires beginSampledMeasurement()");
-    EIP_ASSERT(instructions > 0, "window budget must be positive");
-
-    const uint64_t start_retired = retired;
-    const Cycle start_cycle = now;
-    const CacheStats &l1i_stats = l1i_->stats();
-    const uint64_t start_misses = l1i_stats.demandMisses;
-    const uint64_t start_useful = l1i_stats.usefulPrefetches;
-    const uint64_t start_late = l1i_stats.latePrefetches;
-    const uint64_t start_issued = l1i_stats.prefetchIssued;
-
-    const uint64_t target = retired + instructions;
-    // Same deadlock bound as run(), relative to window entry (`now`
-    // already carries warming cycles).
-    const Cycle watchdog = now + 10000 * instructions + 10'000'000;
-
-    simulate(trace, watchdog, [&] { return retired >= target; });
-    sampledCycles_ += now - start_cycle;
-
-    WindowStats window;
-    window.instructions = retired - start_retired;
-    window.cycles = now - start_cycle;
-    window.l1iDemandMisses = l1i_stats.demandMisses - start_misses;
-    window.l1iUsefulPrefetches = l1i_stats.usefulPrefetches - start_useful;
-    window.l1iLatePrefetches = l1i_stats.latePrefetches - start_late;
-    window.l1iPrefetchIssued = l1i_stats.prefetchIssued - start_issued;
-    return window;
-}
-
-SimStats
-Cpu::sampledStats() const
-{
-    return collectStats();
-}
-
-void
 Cpu::registerCounters(obs::CounterRegistry &reg)
 {
-    // Measured-phase deltas for the counters the warm boundary resets by
-    // recording a start value (rather than zeroing the counter itself).
+    // Measured deltas for the counters the boundary resets by recording
+    // a start value (rather than zeroing the counter itself).
     reg.counter("cpu.instructions",
                 [this]() { return retired - measureStartRetired_; });
-    reg.counter("cpu.cycles", [this]() { return measuredCycles(); });
+    reg.counter("cpu.cycles", &cycles_);
     reg.counter("cpu.branches", &branches);
     reg.counter("cpu.branch_mispredicts", &branchMispredicts);
     reg.counter("cpu.btb_misses", &btbMisses);
@@ -889,19 +840,11 @@ Cpu::registerCounters(obs::CounterRegistry &reg)
                 [this]() { return dram_->accesses() - dramStart_; });
 
     reg.gauge("cpu.ipc", [this]() {
-        uint64_t cycles = measuredCycles();
-        uint64_t insts = retired - measureStartRetired_;
-        return cycles == 0 ? 0.0
-                           : static_cast<double>(insts) /
-                                 static_cast<double>(cycles);
+        return ipcOf(retired - measureStartRetired_, cycles_);
     });
     reg.gauge("l1i.mpki", [this]() {
-        uint64_t insts = retired - measureStartRetired_;
-        return insts == 0 ? 0.0
-                          : 1000.0 *
-                                static_cast<double>(
-                                    l1i_->stats().demandMisses) /
-                                static_cast<double>(insts);
+        return mpkiOf(l1i_->stats().demandMisses,
+                      retired - measureStartRetired_);
     });
 
     registerCacheStats(reg, "l1i", l1i_->stats());

@@ -41,6 +41,12 @@ namespace eip::sim {
 /**
  * The simulated processor. Construct with a config, attach an optional L1I
  * prefetcher, then run() a workload executor for a given instruction budget.
+ * One measurement path serves both drivers: the detailed window
+ * (runWindow) is the only timed primitive, beginMeasurement() the only
+ * boundary and stats() the only result. run() is an optional warm-up
+ * window and the boundary, then one measured window; a sampled run
+ * (src/sample) interleaves warmFunctional() gaps between windows after
+ * the boundary.
  */
 class Cpu
 {
@@ -75,22 +81,23 @@ class Cpu
     void attachWhy(obs::MissAttribution *why);
 
     /**
-     * Simulate until @p instructions have retired after a warm-up of
-     * @p warmup_instructions (during which all structures train but
-     * statistics are discarded). An optional @p sampler snapshots the
-     * registered counters at instruction-interval boundaries of the
-     * measured phase; sampling is read-only and never changes results.
-     * An optional @p profiler attributes host wall time to the run's
-     * coarse phases (warmup / measure / fill_drain); it is touched only
-     * at the two phase boundaries, never inside the cycle loop.
+     * A full run: an optional detailed warm-up window of
+     * @p warmup_instructions (every structure trains; its statistics are
+     * then discarded by beginMeasurement()), then one measured window of
+     * @p instructions, returning stats(). The optional @p sampler
+     * snapshots the registered counters at instruction-interval
+     * boundaries of the measured window; sampling is read-only and never
+     * changes results. The optional @p profiler attributes host wall time
+     * to the coarse phases (warmup / measure / fill_drain); it is touched
+     * only between windows, never inside the cycle loop.
      */
     SimStats run(trace::InstructionSource &trace, uint64_t instructions,
                  uint64_t warmup_instructions = 0,
                  obs::IntervalSampler *sampler = nullptr,
                  obs::PhaseProfiler *profiler = nullptr);
 
-    /** Per-window scalar counters of one detailed sampling window (the
-     *  inputs of the four estimated metrics; see src/sample). */
+    /** One window's scalar deltas: the inputs of the sampled estimator's
+     *  four metrics (see src/sample and the formulas in sim/stats.hh). */
     struct WindowStats
     {
         uint64_t instructions = 0;
@@ -99,45 +106,6 @@ class Cpu
         uint64_t l1iUsefulPrefetches = 0;
         uint64_t l1iLatePrefetches = 0;
         uint64_t l1iPrefetchIssued = 0;
-
-        double
-        ipc() const
-        {
-            return cycles == 0 ? 0.0
-                               : static_cast<double>(instructions) /
-                                     static_cast<double>(cycles);
-        }
-
-        double
-        mpki() const
-        {
-            return instructions == 0
-                ? 0.0
-                : 1000.0 * static_cast<double>(l1iDemandMisses) /
-                      static_cast<double>(instructions);
-        }
-
-        /** Same semantics as CacheStats::coverage (late prefetches are
-         *  excluded from the would-be-miss denominator). */
-        double
-        coverage() const
-        {
-            uint64_t uncovered = l1iDemandMisses - l1iLatePrefetches;
-            uint64_t would_be = l1iUsefulPrefetches + uncovered;
-            return would_be == 0
-                ? 0.0
-                : static_cast<double>(l1iUsefulPrefetches) /
-                      static_cast<double>(would_be);
-        }
-
-        double
-        accuracy() const
-        {
-            return l1iPrefetchIssued == 0
-                ? 0.0
-                : static_cast<double>(l1iUsefulPrefetches) /
-                      static_cast<double>(l1iPrefetchIssued);
-        }
     };
 
     /**
@@ -151,51 +119,56 @@ class Cpu
      * it the previous detailed window's measurement (1:1 before any
      * window exists) — so in-flight fills and cycle-stamped prefetcher
      * learning span the same *instruction* distances as detailed
-     * execution; those cycles are never charged to any counter. The
-     * rate matters: with a fixed 1 cycle/instruction clock, a high-IPC
-     * workload's warm MSHR occupancy is several times shorter in
-     * instruction terms than detailed simulation's, the data-side
-     * throttle (Cache::setWarmMshrThrottle) never engages, and the LLC
-     * enters each window holding lines the timed path would have
-     * dropped. Under --check an entry/exit fingerprint audits that
-     * every statistic stayed frozen.
+     * execution; those cycles are never charged to any counter, the
+     * measured-cycle ledger included. The rate matters: with a fixed
+     * 1 cycle/instruction clock, a high-IPC workload's warm MSHR
+     * occupancy is several times shorter in instruction terms than
+     * detailed simulation's, the data-side throttle
+     * (Cache::setWarmMshrThrottle) never engages, and the LLC enters each
+     * window holding lines the timed path would have dropped. Under
+     * --check an entry/exit fingerprint audits that every statistic, the
+     * cycle ledger included, stayed frozen.
      */
     void warmFunctional(trace::InstructionSource &trace,
                         uint64_t instructions, uint64_t cpiCycles = 1,
                         uint64_t cpiInstructions = 1);
 
     /**
-     * Enter sampled measurement just before the first detailed window:
-     * resets statistics exactly like run()'s warm-up boundary and pins
-     * the measurement origin, so cumulative statistics equal the sum
-     * over the detailed windows (warming freezes them in between) and
-     * registered counters report the window aggregate.
+     * The measurement boundary of both drivers: zero every statistic,
+     * the measured-cycle ledger and the observer roll-ups, and pin the
+     * instruction and DRAM origins. run() crosses it after its warm-up
+     * window; a sampled run crosses it before its first detailed window
+     * (warming freezes statistics in between, so the counters then hold
+     * the sum over the windows).
      */
-    void beginSampledMeasurement();
+    void beginMeasurement();
 
     /**
-     * One detailed sampling window: full timing simulation (the same
-     * event-skipping loop as run()) until
-     * @p instructions retire. Requires beginSampledMeasurement() first.
-     * Returns this window's scalar deltas for the streaming estimator.
+     * One detailed window, the only timed primitive: full timing
+     * simulation (event-skipping, DESIGN.md §3.8) until @p instructions
+     * more retire. Works on either side of beginMeasurement(); an
+     * optional @p sampler is ticked with the measured instruction and
+     * cycle counts after every simulated cycle. Returns the window's
+     * scalar deltas.
      */
     WindowStats runWindow(trace::InstructionSource &trace,
-                          uint64_t instructions);
+                          uint64_t instructions,
+                          obs::IntervalSampler *sampler = nullptr);
 
-    /**
-     * Aggregate statistics over all detailed windows so far (cycles are
-     * the accumulated in-window cycles, never warming time) — the
-     * sampled-run counterpart of run()'s return value.
-     */
-    SimStats sampledStats() const;
+    /** Statistics since the last beginMeasurement() (or construction).
+     *  Cycles are the measured-cycle ledger: timed cycles only, never
+     *  warming time. */
+    SimStats stats() const;
 
     /**
      * Register every live counter of this CPU — core counters, the four
      * cache levels, DRAM, and (when attached) the L1I prefetcher's
-     * custom statistics — with @p reg. Counters report the measured
-     * phase (they reset at the warm-up boundary exactly like the
-     * returned SimStats); prefetcher-internal statistics cover the
-     * whole run including warm-up. @p reg must not outlive the Cpu.
+     * custom statistics — with @p reg. This is the one list of the
+     * cpu.* and dram.* names; its order is the artifact's key order.
+     * Counters report the measured phase (they reset at
+     * beginMeasurement() exactly like stats()); prefetcher-internal
+     * statistics cover the whole run including warm-up. @p reg must not
+     * outlive the Cpu.
      */
     void registerCounters(obs::CounterRegistry &reg);
 
@@ -266,20 +239,9 @@ class Cpu
      *  (its bucket and, when attached, the tracer's stall span). */
     void chargeStall(obs::StallReason reason, Cycle first, uint64_t cycles);
     /** Event-driven cycle skipping (DESIGN.md §3.8): when the next
-     *  inertWindow() cycles are no-ops, jump `now` past them in one
-     *  step, bulk-charging the stall taxonomy. */
+     *  inertWindow() cycles are no-ops, jump `now` (and the cycle
+     *  ledger) past them in one step, bulk-charging the stall taxonomy. */
     void skipIdleCycles(Cycle watchdog);
-    /** The one detailed loop of run() and runWindow(): simulate a cycle,
-     *  stop once @p done() holds, else skip the inert cycles after it. */
-    template <typename Done>
-    void simulate(trace::InstructionSource &trace, Cycle watchdog,
-                  Done done);
-    /** Warm-up boundary: zero every statistic and observer roll-up and
-     *  pin the measurement origin. */
-    void resetMeasurement();
-    /** Measured cycles (in sampled mode: the in-window cycles). */
-    uint64_t measuredCycles() const;
-    SimStats collectStats() const;
     /** Compute the completion cycle of an instruction entering the ROB. */
     Cycle backendLatency(const trace::Instruction &inst);
     /** Classify the prediction of a branch; trains all predictors and
@@ -289,9 +251,10 @@ class Cpu
      *  lookup sequence; the branch counters advance only when !Warming. */
     template <bool Warming>
     uint8_t predictBranchImpl(const trace::Instruction &inst);
-    /** Hash of every statistic warming must not touch (stall buckets,
-     *  branch counters, per-level cache stats, DRAM accesses, retired):
-     *  warmFunctional audits entry == exit under --check. */
+    /** Hash of every statistic warming must not touch (retired, the
+     *  cycle ledger, stall buckets, branch counters, per-level cache
+     *  stats, DRAM accesses): warmFunctional audits entry == exit under
+     *  --check. */
     uint64_t statsFingerprint() const;
     /** Line address of @p pc in the L1I's address space. */
     Addr l1iLine(Addr pc);
@@ -334,19 +297,13 @@ class Cpu
      *  Test-only, set through CpuTestPeer. */
     bool perCycleReference_ = false;
 
-    // Measurement-phase bookkeeping. Members (not run() locals) so that
-    // registered counter closures can report measured-phase deltas live.
-    bool measuring_ = false;
+    // Measurement origins, pinned by beginMeasurement(). Members so that
+    // registered counter closures can report measured deltas live.
     uint64_t measureStartRetired_ = 0;
-    Cycle measureStartCycle_ = 0;
     uint64_t dramStart_ = 0;
-
-    // Sampled-mode bookkeeping (beginSampledMeasurement/runWindow).
-    // Warming advances `now` without charging cycles anywhere, so the
-    // cycle counters report the accumulated in-window cycles instead of
-    // now - measureStartCycle_ while sampledMode_ is set.
-    bool sampledMode_ = false;
-    uint64_t sampledCycles_ = 0;
+    /** The one measured-cycle ledger: advanced only where the timed loop
+     *  advances `now` (never by warming), zeroed at the boundary. */
+    uint64_t cycles_ = 0;
 
     // Raw counters (copied into SimStats).
     uint64_t branches = 0;

@@ -47,34 +47,4 @@ registerCacheStats(obs::CounterRegistry &reg, const std::string &prefix,
     reg.histogram(name("miss_latency"), &s->missLatency);
 }
 
-void
-registerSimStats(obs::CounterRegistry &reg, const SimStats &stats)
-{
-    const SimStats *s = &stats;
-
-    reg.counter("cpu.instructions", &s->instructions);
-    reg.counter("cpu.cycles", &s->cycles);
-    reg.counter("cpu.branches", &s->branches);
-    reg.counter("cpu.branch_mispredicts", &s->branchMispredicts);
-    reg.counter("cpu.btb_misses", &s->btbMisses);
-    reg.counter("cpu.fetch_stall_line_miss", &s->fetchStallLineMiss);
-    reg.counter("cpu.fetch_stall_ftq_empty",
-                [s]() { return s->fetchStallFtqEmpty(); });
-    reg.counter("cpu.fetch_stall_ftq_empty_mispredict",
-                &s->fetchStallFtqEmptyMispredict);
-    reg.counter("cpu.fetch_stall_ftq_empty_starved",
-                &s->fetchStallFtqEmptyStarved);
-    reg.counter("cpu.fetch_stall_rob_full", &s->fetchStallRobFull);
-    reg.counter("cpu.fetch_idle_cycles", &s->fetchIdleCycles);
-    reg.counter("dram.accesses", &s->dramAccesses);
-
-    reg.gauge("cpu.ipc", [s]() { return s->ipc(); });
-    reg.gauge("l1i.mpki", [s]() { return s->l1iMpki(); });
-
-    registerCacheStats(reg, "l1i", s->l1i);
-    registerCacheStats(reg, "l1d", s->l1d);
-    registerCacheStats(reg, "l2", s->l2);
-    registerCacheStats(reg, "llc", s->llc);
-}
-
 } // namespace eip::sim

@@ -3,7 +3,7 @@
  * Per-run simulation statistics: raw event counters plus the derived metrics
  * the paper reports (IPC, MPKI, miss ratio, coverage, accuracy). Every field
  * here is also exported by name through the observability layer (see
- * registerCacheStats / registerSimStats and src/obs).
+ * registerCacheStats, Cpu::registerCounters and src/obs).
  */
 
 #ifndef EIP_SIM_STATS_HH
@@ -29,6 +29,49 @@ inline constexpr size_t kMissLatencyBuckets = 256;
  *  classification derived from the histogram. */
 inline constexpr uint64_t kMissShortMax = 20;  ///< next-level-hit class
 inline constexpr uint64_t kMissMediumMax = 60; ///< LLC class
+
+/**
+ * The headline metric formulas, one home each: SimStats, CacheStats, the
+ * Cpu's live gauges and the sampled windows' deltas all evaluate these,
+ * so a run's estimate and its registered gauges agree bit for bit.
+ */
+inline double
+ipcOf(uint64_t instructions, uint64_t cycles)
+{
+    return cycles == 0 ? 0.0
+                       : static_cast<double>(instructions) /
+                             static_cast<double>(cycles);
+}
+
+/** @p events per kilo-instruction. */
+inline double
+mpkiOf(uint64_t events, uint64_t instructions)
+{
+    return instructions == 0
+        ? 0.0
+        : 1000.0 * static_cast<double>(events) /
+              static_cast<double>(instructions);
+}
+
+/** Timely-covered share of the would-be misses (see CacheStats::coverage
+ *  for why late prefetches leave the denominator). */
+inline double
+coverageOf(uint64_t useful, uint64_t demandMisses, uint64_t late)
+{
+    uint64_t would_be = useful + (demandMisses - late);
+    return would_be == 0
+        ? 0.0
+        : static_cast<double>(useful) / static_cast<double>(would_be);
+}
+
+/** Useful share of the issued prefetches. */
+inline double
+accuracyOf(uint64_t useful, uint64_t issued)
+{
+    return issued == 0
+        ? 0.0
+        : static_cast<double>(useful) / static_cast<double>(issued);
+}
 
 /** Event counters of one cache level. */
 struct CacheStats
@@ -129,21 +172,14 @@ struct CacheStats
     double
     coverage() const
     {
-        uint64_t would_be = usefulPrefetches + uncoveredMisses();
-        return would_be == 0
-            ? 0.0
-            : static_cast<double>(usefulPrefetches) /
-                  static_cast<double>(would_be);
+        return coverageOf(usefulPrefetches, demandMisses, latePrefetches);
     }
 
     /** Fraction of issued prefetches that were useful. */
     double
     accuracy() const
     {
-        return prefetchIssued == 0
-            ? 0.0
-            : static_cast<double>(usefulPrefetches) /
-                  static_cast<double>(prefetchIssued);
+        return accuracyOf(usefulPrefetches, prefetchIssued);
     }
 
   private:
@@ -193,24 +229,10 @@ struct SimStats
     CacheStats llc;
     uint64_t dramAccesses = 0;
 
-    double
-    ipc() const
-    {
-        return cycles == 0
-            ? 0.0
-            : static_cast<double>(instructions) /
-                  static_cast<double>(cycles);
-    }
+    double ipc() const { return ipcOf(instructions, cycles); }
 
     /** L1I misses per kilo-instruction. */
-    double
-    l1iMpki() const
-    {
-        return instructions == 0
-            ? 0.0
-            : 1000.0 * static_cast<double>(l1i.demandMisses) /
-                  static_cast<double>(instructions);
-    }
+    double l1iMpki() const { return mpkiOf(l1i.demandMisses, instructions); }
 };
 
 /**
@@ -221,9 +243,6 @@ struct SimStats
  */
 void registerCacheStats(obs::CounterRegistry &reg, const std::string &prefix,
                         const CacheStats &stats);
-
-/** As above for a whole SimStats ("cpu.", "dram.", per-level caches). */
-void registerSimStats(obs::CounterRegistry &reg, const SimStats &stats);
 
 } // namespace eip::sim
 

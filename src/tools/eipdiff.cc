@@ -169,24 +169,13 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-/** The full catalogue (mirrors the eipsim driver's list). */
-std::vector<trace::Workload>
-catalogue()
-{
-    auto all = trace::cvpSuite(3);
-    for (auto &w : trace::cloudSuite())
-        all.push_back(w);
-    all.push_back(trace::tinyWorkload());
-    return all;
-}
-
 /** One workload per category — enough to exercise every program
  *  generator while keeping the CI gate fast. */
 std::vector<trace::Workload>
 onePerCategory()
 {
     std::vector<trace::Workload> picked;
-    for (const auto &w : catalogue()) {
+    for (const auto &w : harness::defaultCatalogue()) {
         bool seen = false;
         for (const auto &p : picked)
             seen = seen || p.category == w.category;
@@ -503,7 +492,7 @@ main(int argc, char **argv)
 
     ensureDir(opt.outDir);
     std::vector<trace::Workload> suite =
-        opt.full ? catalogue() : onePerCategory();
+        opt.full ? harness::defaultCatalogue() : onePerCategory();
 
     check::DiffRunner diff;
     for (const std::string &scale : opt.scales)

@@ -82,6 +82,25 @@ TEST(Cli, ErrorsAreReportedNotFatal)
     EXPECT_FALSE(parse({"--trace", "x.trc"}).error.empty()); // use --workload
 }
 
+TEST(Cli, BadSampleSchedulesAreUsageErrors)
+{
+    // The schedule rules sample::validateSpec enforces, caught at the
+    // flag boundary instead of as a runtime panic.
+    EXPECT_NE(parse({"--sample-mode", "periodic"}).error.find(
+                  "sample window must be positive"),
+              std::string::npos);
+    EXPECT_NE(parse({"--sample-mode", "periodic", "--sample-window", "1000",
+                     "--sample-period", "999"})
+                  .error.find("sample period must be at least"),
+              std::string::npos);
+    EXPECT_NE(parse({"--sample-mode", "bogus"}).error.find(
+                  "sample mode must be full or periodic"),
+              std::string::npos);
+    EXPECT_TRUE(parse({"--sample-mode", "periodic", "--sample-window",
+                       "1000", "--sample-period", "1000"})
+                    .error.empty());
+}
+
 TEST(Cli, JobsFlagParses)
 {
     EXPECT_EQ(parse({}).jobs, 0u); // 0 = auto (EIP_JOBS or all cores)

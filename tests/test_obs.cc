@@ -207,31 +207,42 @@ TEST(Json, ParserBoundsNestingDepth)
     EXPECT_EQ(kind, obs::JsonParseError::TooDeep);
 }
 
-/** The key round-trip: every SimStats counter registered through
- *  registerSimStats survives JSON serialization exactly. */
+/** The key round-trip: every counter a real Cpu registers survives JSON
+ *  serialization exactly, and the registry covers every SimStats field. */
 TEST(Json, SimStatsRoundTripsThroughRunArtifact)
 {
-    sim::SimStats stats;
-    stats.instructions = 600000;
-    stats.cycles = 1234567;
-    stats.branches = 98765;
-    stats.l1i.demandAccesses = 54321;
-    stats.l1i.demandMisses = 1111;
-    stats.l1i.latePrefetches = 99;
-    stats.l1i.usefulPrefetches = 500;
-    stats.l1i.prefetchIssued = 900;
-    stats.l1i.missLatency.record(10, 700);
-    stats.l1i.missLatency.record(40, 300);
-    stats.l1i.missLatency.record(111, 111);
-    stats.llc.demandMisses = 77;
-    stats.dramAccesses = 42;
+    harness::RunSpec spec;
+    spec.configId = "entangling-4k";
+    spec.instructions = 30000;
+    spec.warmup = 5000;
+    spec.collectCounters = true;
+    harness::RunResult result = harness::runOne(trace::tinyWorkload(), spec);
+    const sim::SimStats &stats = result.stats;
+    ASSERT_GT(stats.l1i.demandMisses, 0u);
 
-    obs::CounterRegistry reg;
-    sim::registerSimStats(reg, stats);
-
-    harness::RunResult result;
-    result.stats = stats;
-    result.counters = reg.dump();
+    // Cpu::registerCounters is the one cpu.* / dram.* schema: each core
+    // SimStats field has its counter, reading the same value.
+    const std::pair<const char *, uint64_t> core[] = {
+        {"cpu.instructions", stats.instructions},
+        {"cpu.cycles", stats.cycles},
+        {"cpu.branches", stats.branches},
+        {"cpu.branch_mispredicts", stats.branchMispredicts},
+        {"cpu.btb_misses", stats.btbMisses},
+        {"cpu.fetch_stall_line_miss", stats.fetchStallLineMiss},
+        {"cpu.fetch_stall_ftq_empty", stats.fetchStallFtqEmpty()},
+        {"cpu.fetch_stall_ftq_empty_mispredict",
+         stats.fetchStallFtqEmptyMispredict},
+        {"cpu.fetch_stall_ftq_empty_starved",
+         stats.fetchStallFtqEmptyStarved},
+        {"cpu.fetch_stall_rob_full", stats.fetchStallRobFull},
+        {"cpu.fetch_idle_cycles", stats.fetchIdleCycles},
+        {"dram.accesses", stats.dramAccesses},
+        {"l1i.demand_misses", stats.l1i.demandMisses},
+        {"llc.demand_misses", stats.llc.demandMisses},
+    };
+    for (const auto &[name, value] : core)
+        EXPECT_EQ(result.counters.counter(name).value_or(~0ULL), value)
+            << name;
 
     obs::RunManifest manifest;
     manifest.workload = "round-trip";
@@ -251,13 +262,22 @@ TEST(Json, SimStatsRoundTripsThroughRunArtifact)
         EXPECT_EQ(member->asU64(), value) << name;
     }
     // Spot-check the derived buckets against the histogram source.
-    EXPECT_EQ(counters->find("l1i.misses_short")->asU64(), 700u);
-    EXPECT_EQ(counters->find("l1i.misses_medium")->asU64(), 300u);
-    EXPECT_EQ(counters->find("l1i.misses_long")->asU64(), 111u);
+    EXPECT_EQ(counters->find("l1i.misses_short")->asU64(),
+              stats.l1i.missesShort());
+    EXPECT_EQ(counters->find("l1i.misses_medium")->asU64(),
+              stats.l1i.missesMedium());
+    EXPECT_EQ(counters->find("l1i.misses_long")->asU64(),
+              stats.l1i.missesLong());
+    EXPECT_GT(stats.l1i.missesShort() + stats.l1i.missesMedium() +
+                  stats.l1i.missesLong(),
+              0u);
 
     const obs::JsonValue *gauges = parsed->find("gauges");
     ASSERT_NE(gauges, nullptr);
     EXPECT_DOUBLE_EQ(gauges->find("cpu.ipc")->number, stats.ipc());
+    EXPECT_DOUBLE_EQ(gauges->find("l1i.mpki")->number, stats.l1iMpki());
+    EXPECT_DOUBLE_EQ(gauges->find("l1i.coverage")->number,
+                     stats.l1i.coverage());
 
     // The timing fields are present here and absent without the flag.
     EXPECT_NE(parsed->find("manifest")->find("wall_clock_seconds"), nullptr);

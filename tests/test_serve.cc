@@ -462,12 +462,38 @@ TEST(ServeDaemon, InvalidRequestsGetStructuredErrors)
             << id;
     }
 
+    // Schedules that cannot run get an invalid answer from the same
+    // rules sample::validateSpec enforces, never a worker panic.
+    struct BadSchedule
+    {
+        const char *mode;
+        uint64_t window;
+        uint64_t period;
+        const char *reason;
+    };
+    for (const BadSchedule &bad :
+         {BadSchedule{"periodic", 0, 1000, "window must be positive"},
+          BadSchedule{"periodic", 1000, 999, "period must be at least"},
+          BadSchedule{"bogus", 1000, 1000, "mode must be full or periodic"}}) {
+        serve::RunRequest schedule = tinyRequest();
+        schedule.sampleMode = bad.mode;
+        schedule.sampleWindow = bad.window;
+        schedule.samplePeriod = bad.period;
+        ASSERT_TRUE(client.submit(schedule, outcome, &error)) << error;
+        EXPECT_FALSE(outcome.accepted) << bad.reason;
+        EXPECT_FALSE(outcome.rejected) << bad.reason;
+        EXPECT_NE(outcome.error.find(bad.reason), std::string::npos)
+            << outcome.error;
+    }
+    std::string stats_line;
+    ASSERT_TRUE(client.stats(stats_line, &error)) << error;
+
     serve::JobView view;
     EXPECT_FALSE(client.status(999, view, &error));
     EXPECT_NE(error.find("unknown job"), std::string::npos);
 
     obs::CounterDump stats = daemon.statsDump();
-    EXPECT_GE(stats.counter("serve.invalid").value(), 10u);
+    EXPECT_GE(stats.counter("serve.invalid").value(), 13u);
 
     daemon.stop();
 }

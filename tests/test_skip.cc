@@ -9,7 +9,9 @@
  * the per-cycle reference schedule's, which ticks every cycle. Runs carry
  * a warm-up boundary and a sampler stride that does not divide the
  * budget, so a skip that jumped a measurement edge or a stride would show
- * up as divergence.
+ * up as divergence. The MeasurementPath tests pin the public sequence
+ * run() is built from (window, boundary, window) and the one cycle
+ * ledger that functional warming never charges.
  */
 
 #include <gtest/gtest.h>
@@ -89,7 +91,6 @@ class CpuTestPeer
     /** Switch @p cpu to the per-cycle reference schedule. */
     static void tickEveryCycle(Cpu &cpu) { cpu.perCycleReference_ = true; }
 
-    static SimStats stats(const Cpu &cpu) { return cpu.collectStats(); }
 };
 
 namespace {
@@ -203,7 +204,7 @@ TEST(SkipScheduler, SkipBulkChargesOneBucket)
     CpuTestPeer::pushFtqGroup(miss, 5, /*ready=*/40, false);
     CpuTestPeer::skip(miss, kBound);
     EXPECT_EQ(CpuTestPeer::now(miss), 39u);
-    SimStats s = CpuTestPeer::stats(miss);
+    SimStats s = miss.stats();
     EXPECT_EQ(s.fetchIdleCycles, 39u);
     EXPECT_EQ(s.fetchStallLineMiss, 39u);
     EXPECT_EQ(s.fetchStallRobFull, 0u);
@@ -216,7 +217,7 @@ TEST(SkipScheduler, SkipBulkChargesOneBucket)
     CpuTestPeer::pushRob(redirect, 25);
     CpuTestPeer::skip(redirect, kBound);
     EXPECT_EQ(CpuTestPeer::now(redirect), 24u);
-    s = CpuTestPeer::stats(redirect);
+    s = redirect.stats();
     EXPECT_EQ(s.fetchStallFtqEmptyMispredict, 24u);
     EXPECT_EQ(s.fetchStallLineMiss, 0u);
 
@@ -224,7 +225,7 @@ TEST(SkipScheduler, SkipBulkChargesOneBucket)
     Cpu busy{SimConfig{}};
     CpuTestPeer::skip(busy, kBound);
     EXPECT_EQ(CpuTestPeer::now(busy), 0u);
-    EXPECT_EQ(CpuTestPeer::stats(busy).fetchIdleCycles, 0u);
+    EXPECT_EQ(busy.stats().fetchIdleCycles, 0u);
 }
 
 /** One detailed run driven straight through sim::Cpu. */
@@ -260,12 +261,24 @@ dumpText(const obs::CounterRegistry &reg)
     return json.str() + "\n";
 }
 
+/** Every SimStats field as text: the core scalars, then each cache
+ *  level through the shared per-level schema. */
 std::string
-statsText(const SimStats &stats)
+statsText(const SimStats &s)
 {
+    std::string text;
+    for (uint64_t v :
+         {s.instructions, s.cycles, s.branches, s.branchMispredicts,
+          s.btbMisses, s.fetchStallLineMiss, s.fetchStallFtqEmptyMispredict,
+          s.fetchStallFtqEmptyStarved, s.fetchStallRobFull,
+          s.fetchIdleCycles, s.dramAccesses})
+        text += std::to_string(v) + " ";
     obs::CounterRegistry reg;
-    registerSimStats(reg, stats);
-    return dumpText(reg);
+    registerCacheStats(reg, "l1i", s.l1i);
+    registerCacheStats(reg, "l1d", s.l1d);
+    registerCacheStats(reg, "l2", s.l2);
+    registerCacheStats(reg, "llc", s.llc);
+    return text + "\n" + dumpText(reg);
 }
 
 std::string
@@ -277,6 +290,15 @@ rowText(uint64_t instructions, uint64_t cycles,
     for (uint64_t v : values)
         text += " " + std::to_string(v);
     return text + "\n";
+}
+
+std::string
+samplesText(const obs::IntervalSampler &sampler)
+{
+    std::string text;
+    for (const obs::Sample &row : sampler.samples())
+        text += rowText(row.instructions, row.cycles, row.values);
+    return text;
 }
 
 Observed
@@ -300,29 +322,29 @@ observe(const RunCase &spec, const trace::Program &program, bool reference)
         trace::makeTraceSource(spec.workload, &program)->open();
 
     Observed out;
+    obs::IntervalSampler sampler(reg, spec.sampleInterval);
     if (spec.sampled) {
         // A hand-rolled periodic schedule: functional warm-up, then six
-        // detailed windows with CPI-fed warming gaps in between.
+        // detailed windows with CPI-fed warming gaps in between, the
+        // sampler ticking across all of them.
         cpu.warmFunctional(*source, spec.warmup);
-        cpu.beginSampledMeasurement();
+        cpu.beginMeasurement();
         Cpu::WindowStats w;
         for (int i = 0; i < 6; ++i) {
             if (i > 0)
                 cpu.warmFunctional(*source, 9000, w.cycles, w.instructions);
-            w = cpu.runWindow(*source, 5000);
+            w = cpu.runWindow(*source, 5000, &sampler);
             out.text += rowText(w.instructions, w.cycles,
                                 {w.l1iDemandMisses, w.l1iUsefulPrefetches,
                                  w.l1iLatePrefetches, w.l1iPrefetchIssued});
         }
-        out.text += statsText(cpu.sampledStats());
+        out.text += statsText(cpu.stats());
     } else {
-        obs::IntervalSampler sampler(reg, spec.sampleInterval);
         out.text += statsText(cpu.run(*source, spec.instructions,
                                       spec.warmup, &sampler));
-        EXPECT_FALSE(sampler.samples().empty());
-        for (const obs::Sample &row : sampler.samples())
-            out.text += rowText(row.instructions, row.cycles, row.values);
     }
+    EXPECT_FALSE(sampler.samples().empty());
+    out.text += samplesText(sampler);
     out.text += dumpText(reg);
     if (spec.why) {
         obs::JsonWriter json;
@@ -436,6 +458,82 @@ TEST(SkipReference, SampledWindowsMatchPerCycle)
         spec.sampled = true;
         expectSkipMatchesReference(spec);
     }
+}
+
+/** A Cpu wired to the registry and source of one measurement-path test. */
+struct Bench
+{
+    explicit Bench(const trace::Program &program)
+        : pf(prefetch::makePrefetcher("entangling-4k")),
+          source(trace::makeTraceSource(serverWorkload(), &program)->open())
+    {
+        cpu.attachL1iPrefetcher(pf.get());
+        cpu.registerCounters(reg);
+    }
+
+    Cpu cpu{SimConfig{}};
+    std::unique_ptr<Prefetcher> pf;
+    obs::CounterRegistry reg;
+    std::unique_ptr<trace::InstructionSource> source;
+};
+
+TEST(MeasurementPath, RunIsWarmupWindowBoundaryMeasuredWindow)
+{
+    // run() is nothing but the public primitives in sequence: the same
+    // stats, sampler rows and registry dump as a hand-built warm-up
+    // window, boundary and measured window.
+    const trace::Program program =
+        trace::buildProgram(serverWorkload().program);
+    Bench whole(program);
+    obs::IntervalSampler whole_rows(whole.reg, 7001);
+    std::string run_text = statsText(
+        whole.cpu.run(*whole.source, 40000, 20000, &whole_rows));
+    run_text += samplesText(whole_rows) + dumpText(whole.reg);
+
+    Bench parts(program);
+    obs::IntervalSampler part_rows(parts.reg, 7001);
+    parts.cpu.runWindow(*parts.source, 20000);
+    parts.cpu.beginMeasurement();
+    parts.cpu.runWindow(*parts.source, 40000, &part_rows);
+    std::string hand_text = statsText(parts.cpu.stats());
+    hand_text += samplesText(part_rows) + dumpText(parts.reg);
+
+    EXPECT_FALSE(whole_rows.samples().empty());
+    EXPECT_EQ(run_text, hand_text);
+}
+
+TEST(MeasurementPath, WarmingChargesNoCycle)
+{
+    // The measured-cycle ledger moves only with the timed clock: a
+    // warming gap advances `now` but leaves cpu.cycles where it was, and
+    // the next window adds exactly its own cycles. Checking is on, so the
+    // warming fingerprint audit (which hashes the ledger) runs too.
+    const bool was = check::checksEnabled();
+    check::setChecksEnabled(true);
+    const trace::Program program =
+        trace::buildProgram(serverWorkload().program);
+    Bench b(program);
+    auto cycles = [&b] {
+        return b.reg.dump().counter("cpu.cycles").value_or(~0ULL);
+    };
+    b.cpu.runWindow(*b.source, 5000);
+    b.cpu.beginMeasurement();
+    EXPECT_EQ(cycles(), 0u);
+    Cpu::WindowStats first = b.cpu.runWindow(*b.source, 5000);
+    ASSERT_GT(first.cycles, 0u);
+    EXPECT_EQ(cycles(), first.cycles);
+
+    const Cycle clock = CpuTestPeer::now(b.cpu);
+    b.cpu.warmFunctional(*b.source, 20000, first.cycles,
+                         first.instructions);
+    EXPECT_GT(CpuTestPeer::now(b.cpu), clock);
+    EXPECT_EQ(cycles(), first.cycles);
+
+    Cpu::WindowStats second = b.cpu.runWindow(*b.source, 5000);
+    EXPECT_EQ(cycles(), first.cycles + second.cycles);
+    EXPECT_EQ(b.cpu.stats().cycles, first.cycles + second.cycles);
+    EXPECT_EQ(b.cpu.invariants()->firstFailure().value_or(""), "");
+    check::setChecksEnabled(was);
 }
 
 } // namespace
