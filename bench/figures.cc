@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -56,6 +55,7 @@ using harness::ReportRecord;
 using harness::RunJob;
 using harness::RunResult;
 using harness::RunSpec;
+using trace::cvpSuite;
 using trace::Workload;
 
 namespace {
@@ -160,20 +160,6 @@ spec(const std::string &config_id, bool RunSpec::*flag = nullptr,
     return s;
 }
 
-/** The CVP-like suite with @p seeds seeds per category: the first
- *  seeds of the 3-seed suite, which is built once per process. */
-std::vector<Workload>
-cvp(int seeds)
-{
-    static const std::vector<Workload> all = trace::cvpSuite(3);
-    std::map<std::string, int> taken;
-    std::vector<Workload> out;
-    for (const Workload &w : all)
-        if (taken[w.category]++ < seeds)
-            out.push_back(w);
-    return out;
-}
-
 /** @p suite under each of @p specs, spec-major. */
 std::vector<RunJob>
 cross(const std::vector<Workload> &suite, const std::vector<RunSpec> &specs)
@@ -248,7 +234,7 @@ sCurves(const Matrix &m, Report &r, const std::string &title,
     std::vector<std::string> names;
     std::vector<std::vector<double>> values;
     for (const std::string &id : configs) {
-        std::vector<RunResult> results = m.suite(cvp(3), spec(id));
+        std::vector<RunResult> results = m.suite(cvpSuite(3), spec(id));
         names.push_back(results.front().configName);
         values.push_back(series(results));
     }
@@ -289,13 +275,13 @@ cellsFig01()
     std::vector<RunSpec> specs = {oracleSpec()};
     for (unsigned d : prefetch::kLookaheadDistances)
         specs.push_back(lookaheadSpec(d));
-    return cross(cvp(2), specs);
+    return cross(cvpSuite(2), specs);
 }
 
 void
 renderFig01(const Matrix &m, Report &r)
 {
-    const std::vector<Workload> workloads = cvp(2);
+    const std::vector<Workload> workloads = cvpSuite(2);
 
     // Fig. 1: oracle timely fraction per distance, on the no-prefetch
     // baseline with each miss's latency tracked.
@@ -375,7 +361,7 @@ fig06Configs()
 void
 renderFig06(const Matrix &m, Report &r)
 {
-    const std::vector<Workload> workloads = cvp(3);
+    const std::vector<Workload> workloads = cvpSuite(3);
     const std::vector<RunResult> baseline = m.suite(workloads, spec("none"));
     ReportRecord table = record(
         "Fig. 6: geomean IPC vs storage", "config",
@@ -409,7 +395,7 @@ fig07Configs()
 void
 renderFig07(const Matrix &m, Report &r)
 {
-    const std::vector<RunResult> baseline = m.suite(cvp(3), spec("none"));
+    const std::vector<RunResult> baseline = m.suite(cvpSuite(3), spec("none"));
     sCurves(m, r, "normalized IPC (sorted per config)", fig07Configs(),
             [&](const std::vector<RunResult> &results) {
                 return normalizedIpc(results, baseline);
@@ -467,7 +453,7 @@ const std::vector<std::string> kTab04Configs = {
 void
 renderTab04(const Matrix &m, Report &r)
 {
-    const std::vector<Workload> workloads = cvp(2);
+    const std::vector<Workload> workloads = cvpSuite(2);
     energy::EnergyModel model;
 
     // Per-config per-workload energy breakdowns.
@@ -541,13 +527,13 @@ cellsFig11()
     for (const char *variant : kFig11Variants)
         for (const char *size : kFig11Sizes)
             configs.push_back(std::string(variant) + "-" + size);
-    return cross(cvp(2), configs);
+    return cross(cvpSuite(2), configs);
 }
 
 void
 renderFig11(const Matrix &m, Report &r)
 {
-    const std::vector<Workload> workloads = cvp(2);
+    const std::vector<Workload> workloads = cvpSuite(2);
     const std::vector<RunResult> baseline = m.suite(workloads, spec("none"));
     std::vector<std::string> columns;
     for (const char *size : kFig11Sizes)
@@ -607,7 +593,7 @@ renderFig12(const Matrix &m, Report &r)
     ReportRecord table = record(
         "Fig. 12: destination encoding width by category (Entangling-4K)",
         "category", columns, 3);
-    const std::vector<Workload> workloads = cvp(3);
+    const std::vector<Workload> workloads = cvpSuite(3);
     for (const char *cat : kCategories) {
         // Accumulate the per-bits fractions over the category.
         std::vector<double> fractions(64, 0.0);
@@ -657,7 +643,7 @@ renderFig13(const Matrix &m, Report &r)
     std::vector<std::string> names;
     std::vector<std::vector<Means>> means; // [config][category]
     for (const std::string &id : kEntanglingSizes) {
-        std::vector<RunResult> results = m.suite(cvp(3), spec(id));
+        std::vector<RunResult> results = m.suite(cvpSuite(3), spec(id));
         names.push_back(results.front().configName);
         means.emplace_back();
         for (const char *cat : kCategories) {
@@ -727,13 +713,13 @@ cellsSec4e()
         specs.push_back(spec(virt));
         specs.push_back(spec(phys, &RunSpec::physicalL1i));
     }
-    return cross(cvp(2), specs);
+    return cross(cvpSuite(2), specs);
 }
 
 void
 renderSec4e(const Matrix &m, Report &r)
 {
-    const std::vector<Workload> workloads = cvp(2);
+    const std::vector<Workload> workloads = cvpSuite(2);
     const auto base_virt = m.suite(workloads, spec("none"));
     const auto base_phys =
         m.suite(workloads, spec("none", &RunSpec::physicalL1i));
@@ -807,13 +793,13 @@ cellsWrongPath()
     for (const auto &arm : kWrongPathArms)
         for (bool wrong_path : {false, true})
             specs.push_back(spec(arm.second, &RunSpec::wrongPath, wrong_path));
-    return cross({cvp(1)[3]}, specs);
+    return cross({cvpSuite(1)[3]}, specs);
 }
 
 void
 renderWrongPath(const Matrix &m, Report &r)
 {
-    const Workload w = cvp(1)[3];
+    const Workload w = cvpSuite(1)[3];
     ReportRecord table = record(
         "Extension: wrong-path execution and §III-C1", "config",
         {"IPC (no wrong path)", "IPC (wrong path)", "acc (no WP)",
@@ -851,7 +837,7 @@ const std::vector<std::string> kSplitConfigs = {
 void
 renderSplit(const Matrix &m, Report &r)
 {
-    const std::vector<Workload> workloads = cvp(2);
+    const std::vector<Workload> workloads = cvpSuite(2);
     const std::vector<RunResult> baseline = m.suite(workloads, spec("none"));
     ReportRecord table = record(
         "Extension: unified vs split basic-block/pair storage (low budget)",
@@ -883,26 +869,26 @@ const View kViews[] = {
      renderFig01},
     {"tab03_config", nullptr, nullptr, nullptr, renderTab03},
     {"fig06_ipc_vs_storage", "Fig. 6", "IPC vs storage for all prefetchers",
-     [] { return cross(cvp(3), withNone(fig06Configs())); }, renderFig06},
+     [] { return cross(cvpSuite(3), withNone(fig06Configs())); }, renderFig06},
     {"fig07_ipc_curves", "Fig. 7",
      "normalized IPC across workloads (s-curves)",
-     [] { return cross(cvp(3), withNone(fig07Configs())); }, renderFig07},
+     [] { return cross(cvpSuite(3), withNone(fig07Configs())); }, renderFig07},
     {"fig08_missrate", "Fig. 8", "L1I miss ratio across workloads",
-     [] { return cross(cvp(3), withNone(prefetch::mainLineup())); },
+     [] { return cross(cvpSuite(3), withNone(prefetch::mainLineup())); },
      renderFig08},
     {"fig09_coverage", "Fig. 9", "prefetcher coverage across workloads",
-     [] { return cross(cvp(3), prefetch::mainLineup()); }, renderFig09},
+     [] { return cross(cvpSuite(3), prefetch::mainLineup()); }, renderFig09},
     {"fig10_accuracy", "Fig. 10", "prefetcher accuracy across workloads",
-     [] { return cross(cvp(3), prefetch::mainLineup()); }, renderFig10},
+     [] { return cross(cvpSuite(3), prefetch::mainLineup()); }, renderFig10},
     {"tab04_energy", "Table IV", "cache-hierarchy energy per prefetcher",
-     [] { return cross(cvp(2), kTab04Configs); }, renderTab04},
+     [] { return cross(cvpSuite(2), kTab04Configs); }, renderTab04},
     {"fig11_ablation", "Fig. 11", "ablation of the Entangling mechanisms",
      cellsFig11, renderFig11},
     {"fig12_compression", "Fig. 12 / Tables I-II", "destination compression",
-     [] { return cross(cvp(3), {spec("entangling-4k")}); }, renderFig12},
+     [] { return cross(cvpSuite(3), {spec("entangling-4k")}); }, renderFig12},
     {"fig13_15_entangled_stats", "Fig. 13-15",
      "Entangled-table usage statistics",
-     [] { return cross(cvp(3), kEntanglingSizes); }, renderFig13},
+     [] { return cross(cvpSuite(3), kEntanglingSizes); }, renderFig13},
     {"sec4e_physical", "Sec. IV-E", "physical-address training", cellsSec4e,
      renderSec4e},
     {"fig16_cloudsuite", "Fig. 16", "CloudSuite-like applications",
@@ -912,7 +898,7 @@ const View kViews[] = {
      cellsWrongPath, renderWrongPath},
     {"ext_split_table", "Extension",
      "unified vs split basic-block/pair storage (low budget)",
-     [] { return cross(cvp(2), withNone(kSplitConfigs)); }, renderSplit},
+     [] { return cross(cvpSuite(2), withNone(kSplitConfigs)); }, renderSplit},
 };
 
 /** BENCH_<id>.json in EIP_BENCH_ARTIFACT_DIR (default: the current

@@ -42,7 +42,7 @@ class ProgramCache
 {
   public:
     /** Resident programs before LRU eviction kicks in. Generous against
-     *  the catalogue (13 workloads) and every bench line-up; the knob
+     *  the catalogue (17 workloads) and every bench line-up; the knob
      *  exists for the serve daemon and the bounding tests. */
     static constexpr uint64_t kDefaultCapacity = 128;
 

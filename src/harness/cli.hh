@@ -35,8 +35,8 @@ struct CliOptions
     std::string workload = "srv-1";
     /** Corpus traces appended to the batch catalogue (--suite-trace,
      *  repeatable; needs --workload all). Each is admitted through the
-     *  per-trace MPKI qualification (trace::traceQualifies); traces that
-     *  fail it are skipped with a notice, not fatal. */
+     *  per-trace MPKI qualification (trace::workloadQualifies); traces
+     *  that fail it are skipped with a notice, not fatal. */
     std::vector<std::string> suiteTraces;
     std::string prefetcher = "entangling-4k";
     std::string dataPrefetcher = "none";

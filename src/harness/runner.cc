@@ -45,24 +45,6 @@ const std::pair<const char *, void (*)(sim::SimConfig &)> kCacheConfigs[] = {
     {"l1i-96kb", [](sim::SimConfig &cfg) { cfg.enlargeL1i(96); }},
 };
 
-/** The catalogue, built once per process. Construction is expensive —
- *  cvpSuite() executes ~400k instructions per candidate seed to apply
- *  the paper's >= 1 L1I MPKI selection filter — which a one-shot CLI
- *  absorbs but a daemon validating every request must not repay.
- *  Thread-safe (magic static); entries are immutable once built. */
-const std::vector<trace::Workload> &
-catalogueMemo()
-{
-    static const std::vector<trace::Workload> all = [] {
-        auto suite = trace::cvpSuite(3);
-        for (auto &w : trace::cloudSuite())
-            suite.push_back(std::move(w));
-        suite.push_back(trace::tinyWorkload());
-        return suite;
-    }();
-    return all;
-}
-
 } // namespace
 
 bool
@@ -86,14 +68,18 @@ configIds()
 std::vector<trace::Workload>
 defaultCatalogue()
 {
-    return catalogueMemo();
+    std::vector<trace::Workload> all = trace::cvpSuite();
+    for (trace::Workload &w : trace::cloudSuite())
+        all.push_back(std::move(w));
+    all.push_back(trace::tinyWorkload());
+    return all;
 }
 
 std::vector<trace::Workload>
 mixedCatalogue(const std::vector<std::string> &trace_paths,
                std::vector<std::string> *notes)
 {
-    std::vector<trace::Workload> suite = catalogueMemo();
+    std::vector<trace::Workload> suite = defaultCatalogue();
     auto note = [notes](const std::string &line) {
         if (notes != nullptr)
             notes->push_back(line);
@@ -111,7 +97,7 @@ mixedCatalogue(const std::vector<std::string> &trace_paths,
             continue;
         }
         uint64_t footprint = 0;
-        if (!trace::traceQualifies(w, &footprint)) {
+        if (!trace::workloadQualifies(w, &footprint)) {
             note(path + ": skipped — code footprint " +
                  std::to_string(footprint / 1024) +
                  " KB is below the >= 1 L1I MPKI proxy (40 KB), "
@@ -133,21 +119,8 @@ findWorkload(const std::string &name, trace::Workload &out)
     // file that is missing or unreadable.
     if (trace::isTracePath(name))
         return trace::tryTraceWorkload(name, out);
-    const auto &all = catalogueMemo();
-    for (const auto &w : all) {
-        if (w.name == name) {
-            out = w;
-            return true;
-        }
-    }
-    const std::string fallback = name + "-1";
-    for (const auto &w : all) {
-        if (w.name == fallback) {
-            out = w;
-            return true;
-        }
-    }
-    return false;
+    return trace::syntheticWorkload(name, out) ||
+           trace::syntheticWorkload(name + "-1", out);
 }
 
 namespace {

@@ -162,15 +162,19 @@ bool knownConfigId(const std::string &id);
  *  configurations (eipsim --list-prefetchers). */
 std::vector<std::string> configIds();
 
-/** The full workload catalogue every surface serves from: the CVP-like
- *  suite (3 seeds per category), the CloudSuite-like applications, and
- *  the tiny smoke workload. The eipsim CLI and the eipd job server
- *  resolve workload names against this one list. */
+/** The full workload catalogue every surface serves from, in this
+ *  order: the pinned CVP-like suite (trace::cvpSuite, 3 seeds per
+ *  category), the CloudSuite-like applications and the tiny smoke
+ *  workload. Made from constant tables: it builds and probes no program.
+ *  The eipsim CLI and the eipd job server resolve workload names against
+ *  these entries (findWorkload). */
 std::vector<trace::Workload> defaultCatalogue();
 
-/** Catalogue workload by name. A bare category name ("crypto") falls
- *  back to its first seed ("crypto-1") so category-level callers don't
- *  need to know the seed-suffix convention. A recognized trace path
+/** Catalogue workload by name, built alone (trace::syntheticWorkload)
+ *  rather than by building the catalogue. A bare category name
+ *  ("crypto") falls back to its first seed ("crypto-1") so
+ *  category-level callers don't need to know the seed-suffix
+ *  convention. A recognized trace path
  *  (trace::isTracePath — .trc / .champsimtrace[.xz|.gz]) resolves to a
  *  trace-backed workload instead, digesting the file for identity.
  *  Returns false when the name resolves to nothing (including an
@@ -181,12 +185,12 @@ bool findWorkload(const std::string &name, trace::Workload &out);
  * The default catalogue extended with trace-backed workloads, one per
  * entry of @p trace_paths, so batch suites can mix corpus traces with
  * the synthetic categories. Each trace is admitted through the same
- * selection filter that gates synthetic seeds (trace::traceQualifies,
- * the >= 1 L1I MPKI footprint proxy); unreadable paths and traces below
- * the threshold are skipped — never fatal, so one bad corpus file
- * cannot sink a suite run — with a human-readable line per skip (and
- * per admission) appended to @p notes when non-null. Duplicate paths
- * are admitted once.
+ * selection probe that picked the synthetic seeds
+ * (trace::workloadQualifies, the >= 1 L1I MPKI footprint proxy);
+ * unreadable paths and traces below the threshold are skipped — never
+ * fatal, so one bad corpus file cannot sink a suite run — with a
+ * human-readable line per skip (and per admission) appended to @p notes
+ * when non-null. Duplicate paths are admitted once.
  */
 std::vector<trace::Workload>
 mixedCatalogue(const std::vector<std::string> &trace_paths,

@@ -138,12 +138,6 @@ bool
 Daemon::start(std::string *error)
 {
     EIP_ASSERT(!started_, "daemon started twice");
-    // Warm the workload catalogue before accepting traffic: it is
-    // expensive to build (harness::findWorkload docs), every submit
-    // validates against it, and building it here means forked workers
-    // inherit it ready-made.
-    trace::Workload ignore;
-    harness::findWorkload("tiny", ignore);
     listenFd_ = listenUnix(options_.socketPath, error);
     if (listenFd_ < 0)
         return false;

@@ -2,11 +2,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <unordered_set>
 
-#include <memory>
-
-#include "trace/executor.hh"
 #include "trace/source.hh"
 #include "util/hash.hh"
 #include "util/panic.hh"
@@ -123,41 +122,114 @@ constexpr uint64_t kQualifyWindow = 400000;
  *  (vs the 32KB L1I) corresponds to >= 1 L1I MPKI on this simulator. */
 constexpr uint64_t kQualifyFootprintBytes = 40 * 1024;
 
-/** Dynamic code footprint (bytes of distinct 64-byte lines) of one
- *  selection window streamed from @p stream. */
-uint64_t
-probeFootprint(InstructionSource &stream)
+/** Pinned seeds per CVP category. */
+constexpr int kCvpSeeds = 3;
+
+/** The pinned seeds of one CVP category, in suite order: the first
+ *  kCvpSeeds candidates s = 1, 2, ... (program seed 0x1000 * s +
+ *  strlen(category), exec seed 0x77 + s - 1) that pass
+ *  workloadQualifies, found by Workloads.CvpSuiteIsThePinnedSeedSearch
+ *  (tests/test_trace.cc). */
+struct CvpCategory
 {
-    std::unordered_set<uint64_t> lines;
-    for (uint64_t i = 0; i < kQualifyWindow; ++i)
-        lines.insert(stream.next().pc >> 6);
-    return lines.size() * 64;
+    const char *name;
+    struct
+    {
+        uint64_t program;
+        uint64_t exec;
+    } seeds[kCvpSeeds];
+};
+
+constexpr CvpCategory kCvpSuite[] = {
+    {"crypto", {{0x1006, 0x77}, {0x4006, 0x7a}, {0x5006, 0x7b}}}, // s=1,4,5
+    {"int", {{0x1003, 0x77}, {0x2003, 0x78}, {0x3003, 0x79}}},    // s=1,2,3
+    {"fp", {{0x1002, 0x77}, {0x3002, 0x79}, {0x5002, 0x7b}}},     // s=1,3,5
+    {"srv", {{0x1003, 0x77}, {0x2003, 0x78}, {0x3003, 0x79}}},    // s=1,2,3
+};
+
+/** "<category>-<k>": the @p index'th (0-based) pinned seed of @p cat. */
+Workload
+cvpWorkload(const CvpCategory &cat, int index)
+{
+    Workload w;
+    w.name = std::string(cat.name) + "-" + std::to_string(index + 1);
+    w.category = cat.name;
+    w.program = categoryConfig(cat.name);
+    w.program.seed = cat.seeds[index].program;
+    w.exec.seed = cat.seeds[index].exec;
+    return w;
 }
 
-/**
- * Workload selection, emulating the paper's methodology: of the CVP
- * traces, only those with at least 1 L1I MPKI on the baseline were
- * evaluated (959 of them). The cheap trace-level proxy for that property
- * is the dynamic code footprint of one recurrence window.
- */
-bool
-workloadQualifies(const Workload &candidate)
+/** A CloudSuite-like application: a srv generator retuned by @p tune,
+ *  seeded (program and executor) with @p seed. */
+struct CloudApp
 {
-    Program prog = buildProgram(candidate.program);
-    Executor exec(prog, candidate.exec);
-    return probeFootprint(exec) >= kQualifyFootprintBytes;
+    const char *name;
+    uint64_t seed;
+    void (*tune)(ProgramConfig &);
+};
+
+const CloudApp kCloudSuite[] = {
+    // cassandra: Java data store — very large footprint, deep calls.
+    {"cassandra", 0xCA55,
+     [](ProgramConfig &p) {
+         p.numFunctions = 4200;
+         p.callBlockFraction = 0.32;
+         p.indirectFraction = 0.12; // virtual dispatch
+     }},
+    // cloud9: JS engine — indirect-heavy medium-large footprint.
+    {"cloud9", 0xC109,
+     [](ProgramConfig &p) {
+         p.numFunctions = 2600;
+         p.indirectFraction = 0.18;
+         p.jumpBlockFraction = 0.12;
+     }},
+    // nutch: crawler/indexer — large footprint, mixed loops and calls.
+    {"nutch", 0x0706,
+     [](ProgramConfig &p) {
+         p.numFunctions = 3600;
+         p.loopFraction = 0.2;
+         p.maxLoopTrips = 16;
+     }},
+    // streaming: media server — streaming loops over a large code base.
+    {"streaming", 0x57AE,
+     [](ProgramConfig &p) {
+         p.numFunctions = 2000;
+         p.loopFraction = 0.35;
+         p.minLoopTrips = 8;
+         p.maxLoopTrips = 64;
+         p.minBlockInsts = 4;
+         p.maxBlockInsts = 18;
+     }},
+};
+
+Workload
+cloudWorkload(const CloudApp &app)
+{
+    Workload w;
+    w.name = app.name;
+    w.category = "cloud";
+    w.program = categoryConfig("srv");
+    app.tune(w.program);
+    w.program.seed = app.seed;
+    w.exec.seed = app.seed;
+    return w;
 }
 
 } // namespace
 
 bool
-traceQualifies(const Workload &workload, uint64_t *footprint_bytes)
+workloadQualifies(const Workload &workload, uint64_t *footprint_bytes)
 {
-    EIP_ASSERT(workload.kind != WorkloadKind::Synthetic,
-               "traceQualifies takes a trace-backed workload");
+    std::optional<Program> program;
+    if (workload.kind == WorkloadKind::Synthetic)
+        program = buildProgram(workload.program);
     std::unique_ptr<InstructionSource> stream =
-        makeTraceSource(workload, nullptr)->open();
-    uint64_t footprint = probeFootprint(*stream);
+        makeTraceSource(workload, program ? &*program : nullptr)->open();
+    std::unordered_set<uint64_t> lines;
+    for (uint64_t i = 0; i < kQualifyWindow; ++i)
+        lines.insert(stream->next().pc >> 6);
+    const uint64_t footprint = lines.size() * 64;
     if (footprint_bytes != nullptr)
         *footprint_bytes = footprint;
     return footprint >= kQualifyFootprintBytes;
@@ -166,25 +238,12 @@ traceQualifies(const Workload &workload, uint64_t *footprint_bytes)
 std::vector<Workload>
 cvpSuite(int seeds_per_category)
 {
-    const char *categories[] = {"crypto", "int", "fp", "srv"};
+    EIP_ASSERT(seeds_per_category >= 1 && seeds_per_category <= kCvpSeeds,
+               "cvpSuite pins 1..3 seeds per category");
     std::vector<Workload> suite;
-    for (const char *cat : categories) {
-        int accepted = 0;
-        for (int s = 1; accepted < seeds_per_category && s <= 64; ++s) {
-            Workload w;
-            w.category = cat;
-            w.program = categoryConfig(cat);
-            w.program.seed = 0x1000 * s + std::strlen(cat);
-            w.exec.seed = 0x77 + s - 1;
-            if (!workloadQualifies(w))
-                continue;
-            ++accepted;
-            w.name = std::string(cat) + "-" + std::to_string(accepted);
-            suite.push_back(std::move(w));
-        }
-        EIP_ASSERT(accepted == seeds_per_category,
-                   "could not find enough qualifying workload seeds");
-    }
+    for (const CvpCategory &cat : kCvpSuite)
+        for (int i = 0; i < seeds_per_category; ++i)
+            suite.push_back(cvpWorkload(cat, i));
     return suite;
 }
 
@@ -192,62 +251,8 @@ std::vector<Workload>
 cloudSuite()
 {
     std::vector<Workload> suite;
-
-    // cassandra: Java data store — very large footprint, deep calls.
-    {
-        Workload w;
-        w.name = "cassandra";
-        w.category = "cloud";
-        w.program = categoryConfig("srv");
-        w.program.numFunctions = 4200;
-        w.program.callBlockFraction = 0.32;
-        w.program.indirectFraction = 0.12; // virtual dispatch
-        w.program.seed = 0xCA55;
-        w.exec.seed = 0xCA55;
-        suite.push_back(std::move(w));
-    }
-    // cloud9: JS engine — indirect-heavy medium-large footprint.
-    {
-        Workload w;
-        w.name = "cloud9";
-        w.category = "cloud";
-        w.program = categoryConfig("srv");
-        w.program.numFunctions = 2600;
-        w.program.indirectFraction = 0.18;
-        w.program.jumpBlockFraction = 0.12;
-        w.program.seed = 0xC109;
-        w.exec.seed = 0xC109;
-        suite.push_back(std::move(w));
-    }
-    // nutch: crawler/indexer — large footprint, mixed loops and calls.
-    {
-        Workload w;
-        w.name = "nutch";
-        w.category = "cloud";
-        w.program = categoryConfig("srv");
-        w.program.numFunctions = 3600;
-        w.program.loopFraction = 0.2;
-        w.program.maxLoopTrips = 16;
-        w.program.seed = 0x0706;
-        w.exec.seed = 0x0706;
-        suite.push_back(std::move(w));
-    }
-    // streaming: media server — streaming loops over a large code base.
-    {
-        Workload w;
-        w.name = "streaming";
-        w.category = "cloud";
-        w.program = categoryConfig("srv");
-        w.program.numFunctions = 2000;
-        w.program.loopFraction = 0.35;
-        w.program.minLoopTrips = 8;
-        w.program.maxLoopTrips = 64;
-        w.program.minBlockInsts = 4;
-        w.program.maxBlockInsts = 18;
-        w.program.seed = 0x57AE;
-        w.exec.seed = 0x57AE;
-        suite.push_back(std::move(w));
-    }
+    for (const CloudApp &app : kCloudSuite)
+        suite.push_back(cloudWorkload(app));
     return suite;
 }
 
@@ -262,6 +267,33 @@ tinyWorkload(uint64_t seed)
     w.program.seed = seed;
     w.exec.seed = seed * 31 + 7;
     return w;
+}
+
+bool
+syntheticWorkload(const std::string &name, Workload &out)
+{
+    // CVP entries are "<category>-<k>" with a one-digit k.
+    const size_t dash = name.find('-');
+    if (dash != std::string::npos && dash + 2 == name.size()) {
+        const int index = name[dash + 1] - '1';
+        for (const CvpCategory &cat : kCvpSuite) {
+            if (index >= 0 && index < kCvpSeeds &&
+                name.compare(0, dash, cat.name) == 0) {
+                out = cvpWorkload(cat, index);
+                return true;
+            }
+        }
+    }
+    for (const CloudApp &app : kCloudSuite) {
+        if (name == app.name) {
+            out = cloudWorkload(app);
+            return true;
+        }
+    }
+    if (name != "tiny")
+        return false;
+    out = tinyWorkload();
+    return true;
 }
 
 namespace {
@@ -320,14 +352,6 @@ isTracePath(const std::string &path)
            endsWith(path, ".champsimtrace.gz");
 }
 
-WorkloadKind
-kindFromTracePath(const std::string &path)
-{
-    EIP_ASSERT(isTracePath(path), "not a recognized trace path");
-    return endsWith(path, ".trc") ? WorkloadKind::EipTrace
-                                  : WorkloadKind::ChampSim;
-}
-
 bool
 tryTraceWorkload(const std::string &path, Workload &out, std::string *error)
 {
@@ -344,20 +368,11 @@ tryTraceWorkload(const std::string &path, Workload &out, std::string *error)
     const size_t slash = path.find_last_of("/\\");
     w.name = slash == std::string::npos ? path : path.substr(slash + 1);
     w.category = "trace";
-    w.kind = kindFromTracePath(path);
+    w.kind = endsWith(path, ".trc") ? WorkloadKind::EipTrace
+                                    : WorkloadKind::ChampSim;
     w.tracePath = path;
     out = std::move(w);
     return true;
-}
-
-Workload
-traceWorkload(const std::string &path)
-{
-    Workload w;
-    std::string error;
-    if (!tryTraceWorkload(path, w, &error))
-        EIP_FATAL(error.c_str());
-    return w;
 }
 
 Workload

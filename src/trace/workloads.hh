@@ -62,9 +62,12 @@ struct Workload
 ProgramConfig categoryConfig(const std::string &category);
 
 /**
- * The CVP-like suite: @p seeds_per_category seeded variants of each of the
- * four categories. The paper uses 959 selected traces; we default to a
- * laptop-scale sample that preserves the category mix.
+ * The CVP-like suite, category-major (crypto, int, fp, srv): the first
+ * @p seeds_per_category (1..3) pinned seeds of each, named
+ * "<category>-<k>". The paper evaluates only CVP traces with >= 1 L1I
+ * MPKI; the pinned seeds are each category's first three candidates that
+ * pass workloadQualifies. A test re-runs that search and requires this
+ * table, so a generator change cannot silently change the suite.
  */
 std::vector<Workload> cvpSuite(int seeds_per_category = 3);
 
@@ -74,12 +77,14 @@ std::vector<Workload> cloudSuite();
 /** A small, fast workload for tests and the quickstart example. */
 Workload tinyWorkload(uint64_t seed = 1);
 
+/** The synthetic workload named @p name: a cvpSuite() entry, a
+ *  cloudSuite() application or "tiny". Builds only that entry; false
+ *  for any other name. */
+bool syntheticWorkload(const std::string &name, Workload &out);
+
 /** Does @p path name a supported on-disk trace (by extension):
  *  `.trc`, `.champsimtrace`, `.champsimtrace.xz`, `.champsimtrace.gz`? */
 bool isTracePath(const std::string &path);
-
-/** Trace kind for a path isTracePath accepted. */
-WorkloadKind kindFromTracePath(const std::string &path);
 
 /**
  * Build a trace-backed workload from an on-disk trace file: stats the
@@ -92,22 +97,17 @@ WorkloadKind kindFromTracePath(const std::string &path);
 bool tryTraceWorkload(const std::string &path, Workload &out,
                       std::string *error = nullptr);
 
-/** As tryTraceWorkload, fatal on failure (one-shot CLI convenience). */
-Workload traceWorkload(const std::string &path);
-
 /**
- * Per-trace mirror of the synthetic suite's selection filter: stream one
- * recurrence window (400k instructions) of the trace and apply the same
- * >= 40KB dynamic-code-footprint proxy for >= 1 L1I MPKI that admits
- * synthetic seeds into cvpSuite. Traces below the threshold would dilute
- * a suite's prefetcher-sensitivity signal exactly like an unqualifying
- * seed, so mixed catalogues gate them identically. @p footprint_bytes,
- * when non-null, receives the measured footprint for reporting either
- * way. Traces shorter than the window wrap (InstructionSource loops), so
- * the probe saturates at the trace's whole code footprint.
+ * The suite's selection probe, for any workload kind: stream one
+ * recurrence window (400k instructions) of @p workload and accept a
+ * dynamic code footprint >= 40KB, the proxy for >= 1 L1I MPKI. It picked
+ * the cvpSuite seeds and gates on-disk traces into mixed catalogues.
+ * @p footprint_bytes, when non-null, receives the footprint either way.
+ * Traces shorter than the window wrap (InstructionSource loops), so the
+ * probe saturates at the trace's whole code footprint.
  */
-bool traceQualifies(const Workload &workload,
-                    uint64_t *footprint_bytes = nullptr);
+bool workloadQualifies(const Workload &workload,
+                       uint64_t *footprint_bytes = nullptr);
 
 /**
  * Identity-preserving capture/replay pin: a workload that replays

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "energy/energy_model.hh"
+#include "harness/canonical.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "trace/executor.hh"
@@ -103,6 +104,47 @@ TEST(Runner, GeomeanSpeedupOfSelfIsOne)
     EXPECT_NEAR(geomeanSpeedup(base, base), 1.0, 1e-12);
 }
 
+TEST(Catalogue, OrderIsCvpThenCloudThenTiny)
+{
+    std::vector<std::string> names;
+    for (const trace::Workload &w : defaultCatalogue())
+        names.push_back(w.name);
+    const std::vector<std::string> want = {
+        "crypto-1", "crypto-2", "crypto-3", "int-1", "int-2", "int-3",
+        "fp-1",     "fp-2",     "fp-3",     "srv-1", "srv-2", "srv-3",
+        "cassandra", "cloud9", "nutch", "streaming", "tiny"};
+    EXPECT_EQ(names, want);
+}
+
+TEST(Catalogue, EveryEntryResolvesByName)
+{
+    for (const trace::Workload &w : defaultCatalogue()) {
+        trace::Workload found;
+        ASSERT_TRUE(findWorkload(w.name, found)) << w.name;
+        EXPECT_EQ(canonicalWorkload(found), canonicalWorkload(w));
+    }
+}
+
+TEST(Catalogue, BareCategoryFallsBackToItsFirstSeed)
+{
+    for (const char *cat : {"crypto", "int", "fp", "srv"}) {
+        trace::Workload bare, first;
+        ASSERT_TRUE(findWorkload(cat, bare)) << cat;
+        ASSERT_TRUE(findWorkload(std::string(cat) + "-1", first));
+        EXPECT_EQ(canonicalWorkload(bare), canonicalWorkload(first));
+    }
+}
+
+TEST(Catalogue, UnknownNamesResolveToNothing)
+{
+    for (const char *name :
+         {"", "nope", "srv-4", "crypto-0", "srv-", "cloud", "tiny-1",
+          "Cassandra", "srv-1 "}) {
+        trace::Workload w;
+        EXPECT_FALSE(findWorkload(name, w)) << "'" << name << "'";
+    }
+}
+
 TEST(MixedCatalogue, AdmitsQualifyingTraceSkipsRestWithNotes)
 {
     // A captured .trc of srv-1 carries srv-1's large code footprint, so
@@ -147,9 +189,13 @@ TEST(MixedCatalogue, RejectsTracesBelowTheFootprintProxy)
     trace::Workload as_trace;
     ASSERT_TRUE(findWorkload(path, as_trace));
     uint64_t footprint = 0;
-    EXPECT_FALSE(trace::traceQualifies(as_trace, &footprint));
+    EXPECT_FALSE(trace::workloadQualifies(as_trace, &footprint));
     EXPECT_LT(footprint, 40u * 1024u);
     EXPECT_GT(footprint, 0u);
+    // The one probe reads the synthetic source and its capture alike.
+    uint64_t synthetic = 0;
+    EXPECT_FALSE(trace::workloadQualifies(tiny, &synthetic));
+    EXPECT_EQ(synthetic, footprint);
 
     std::vector<std::string> notes;
     auto suite = mixedCatalogue({path}, &notes);

@@ -2,14 +2,14 @@
  * @file
  * Additional property-based tests: brute-force cross-checks of the
  * compression capacity rules, history-buffer walk properties under random
- * operation sequences, executor memory-pattern invariants, and
- * determinism of the workload selection.
+ * operation sequences and executor memory-pattern invariants (the
+ * workload selection's determinism is checked with the pinned suite,
+ * test_trace Workloads.CvpSuiteIsThePinnedSeedSearch).
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 
 #include "core/dest_compression.hh"
 #include "core/history_buffer.hh"
@@ -185,31 +185,6 @@ TEST(ExecutorProperty, StreamSitesAdvanceByConstantStride)
         constant_stride_sites += constant ? 1 : 0;
     }
     EXPECT_GT(constant_stride_sites, 3);
-}
-
-// ---------------------------------------------------------------------
-// Workload selection.
-// ---------------------------------------------------------------------
-
-TEST(WorkloadSelection, SuiteIsDeterministicAndQualified)
-{
-    auto a = trace::cvpSuite(2);
-    auto b = trace::cvpSuite(2);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].name, b[i].name);
-        EXPECT_EQ(a[i].program.seed, b[i].program.seed);
-    }
-    // Every accepted workload touches well over the 32KB L1I per window
-    // (the paper's >= 1 MPKI selection proxy).
-    for (const auto &w : a) {
-        trace::Program prog = trace::buildProgram(w.program);
-        trace::Executor exec(prog, w.exec);
-        std::set<uint64_t> lines;
-        for (int i = 0; i < 400000; ++i)
-            lines.insert(exec.next().pc >> 6);
-        EXPECT_GE(lines.size() * 64, 40u * 1024) << w.name;
-    }
 }
 
 } // namespace

@@ -284,22 +284,5 @@ TEST(Robustness, SimScaleEnvironmentKnob)
     EXPECT_EQ(doubled.warmup, plain.warmup * 2);
 }
 
-TEST(Robustness, WorkloadsDeterministicAcrossProcessesProxy)
-{
-    // Build the same workload twice and compare a structural fingerprint
-    // (proxy for cross-process determinism).
-    auto fingerprint = [](const trace::Workload &w) {
-        trace::Program prog = trace::buildProgram(w.program);
-        uint64_t fp = prog.codeEnd;
-        for (const auto &fn : prog.functions)
-            fp = fp * 31 + fn.blocks.size();
-        return fp;
-    };
-    auto a = trace::cvpSuite(2);
-    auto b = trace::cvpSuite(2);
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(fingerprint(a[i]), fingerprint(b[i])) << a[i].name;
-}
-
 } // namespace
 } // namespace eip

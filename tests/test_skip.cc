@@ -391,11 +391,9 @@ expectSkipMatchesReference(const RunCase &spec)
 trace::Workload
 serverWorkload()
 {
-    for (const trace::Workload &w : trace::cvpSuite(1))
-        if (w.category == "srv")
-            return w;
-    ADD_FAILURE() << "no srv workload in cvpSuite(1)";
-    return trace::tinyWorkload();
+    trace::Workload w;
+    EXPECT_TRUE(trace::syntheticWorkload("srv-1", w));
+    return w;
 }
 
 TEST(SkipReference, EveryCategoryMatchesPerCycle)

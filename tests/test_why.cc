@@ -32,12 +32,9 @@ using obs::MissBlame;
 trace::Workload
 srvWorkload()
 {
-    for (const auto &w : trace::cvpSuite(1)) {
-        if (w.name == "srv-1")
-            return w;
-    }
-    ADD_FAILURE() << "srv-1 missing from cvpSuite(1)";
-    return trace::tinyWorkload();
+    trace::Workload w;
+    EXPECT_TRUE(trace::syntheticWorkload("srv-1", w));
+    return w;
 }
 
 harness::RunSpec
