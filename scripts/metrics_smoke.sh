@@ -44,8 +44,8 @@ mkdir -p "$OUT"
 EIPD_PID=$!
 trap 'kill "$EIPD_PID" 2>/dev/null || true; rm -f "$SOCK"' EXIT
 
-# The daemon pre-warms the workload catalogue before binding, so wait
-# for the socket rather than sleeping a fixed interval.
+# The socket appears only once the daemon has bound it, so wait for it
+# rather than sleeping a fixed interval.
 for _ in $(seq 1 200); do
     [ -S "$SOCK" ] && break
     kill -0 "$EIPD_PID" 2>/dev/null || {

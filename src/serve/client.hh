@@ -83,7 +83,7 @@ class Client
                  std::string *error);
 
     /** The daemon's eip-trace/v1 serve span document (raw line).
-     *  False (with the daemon's diagnostic) when spans are disabled. */
+     *  False (with the daemon's diagnostic) on an error response. */
     bool spans(std::string &trace_json, std::string *error);
 
     bool shutdown(std::string *error);

@@ -23,6 +23,8 @@ namespace eip::serve {
 
 namespace {
 
+using Outcome = RequestLedger::Outcome;
+
 /** Open a response document with the shared envelope fields. */
 obs::JsonWriter
 responseHead(Request::Op op, const char *status)
@@ -50,26 +52,52 @@ acceptedResponse(uint64_t id, const std::string &key, const char *served,
     return json.str();
 }
 
+/** @p dump plus the ledger's since-start counters and its latency and
+ *  window gauges, all read from the one @p view so a dump never mixes
+ *  two moments. */
+obs::CounterDump
+withLedger(obs::CounterDump dump, const RequestLedger::View &view)
+{
+    const RequestLedger::Summary &all = view.sinceStart;
+    const RequestLedger::Summary &win = view.window;
+    // A crashed worker is one way a request fails: serve.failed counts
+    // both, serve.worker_crashes the crashes alone.
+    dump.counters.insert(
+        dump.counters.end(),
+        {{"serve.served_cache", all.of(Outcome::Cache)},
+         {"serve.simulated", all.of(Outcome::Simulated)},
+         {"serve.failed", all.of(Outcome::Failed) + all.of(Outcome::Crashed)},
+         {"serve.worker_crashes", all.of(Outcome::Crashed)},
+         {"serve.rejected_queue_full", all.of(Outcome::Rejected)},
+         {"serve.request_wall_ms.count",
+          all.requests - all.of(Outcome::Rejected)}});
+    dump.gauges.insert(
+        dump.gauges.end(),
+        {{"serve.request_wall_ms.sum", view.latencySumMs},
+         {"serve.request_wall_ms.p50", all.p50Ms},
+         {"serve.request_wall_ms.p95", all.p95Ms},
+         {"serve.request_wall_ms.p99", all.p99Ms},
+         {"serve.window.seconds", static_cast<double>(view.windowSeconds)},
+         {"serve.window.requests", static_cast<double>(win.requests)},
+         {"serve.window.qps", view.qps},
+         {"serve.window.hit_ratio", view.hitRatio},
+         {"serve.window.p50_ms", win.p50Ms},
+         {"serve.window.p95_ms", win.p95Ms},
+         {"serve.window.p99_ms", win.p99Ms}});
+    return dump;
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)), gitDescribe_(obs::buildGitDescribe()),
       queue_(options_.queueDepth), cache_(options_.cacheBytes),
-      metrics_(options_.metricsWindowSeconds)
+      ledger_(options_.metricsWindowSeconds, obs::monotonicMicros()),
+      spans_(options_.spanLimit)
 {
-    if (options_.spanLimit > 0)
-        spans_ = std::make_unique<obs::SpanCollector>(options_.spanLimit);
     registry_.counter("serve.requests", [this] { return requests_.load(); });
     registry_.counter("serve.invalid", [this] { return invalid_.load(); });
     registry_.counter("serve.submits", [this] { return submits_.load(); });
-    registry_.counter("serve.rejected_queue_full",
-                      [this] { return queue_.rejected(); });
-    registry_.counter("serve.served_cache",
-                      [this] { return servedCache_.load(); });
-    registry_.counter("serve.simulated", [this] { return simulated_.load(); });
-    registry_.counter("serve.failed", [this] { return failed_.load(); });
-    registry_.counter("serve.worker_crashes",
-                      [this] { return workerCrashes_.load(); });
     registry_.counter("serve.queue.high_water",
                       [this] { return queue_.highWater(); });
     registry_.gauge("serve.queue.depth", [this] {
@@ -87,46 +115,10 @@ Daemon::Daemon(DaemonOptions options)
     // process, and the shared vocabulary keeps dashboards uniform.
     exec::ProgramCache::global().registerStats(registry_,
                                                "serve.program_cache");
-    registry_.histogram("serve.request_wall_ms", &requestWallMs_);
-    // Interpolated request-latency percentiles (util::Histogram's
-    // type-7 estimator — the same math the manifest-side percentile
-    // helper uses, so daemon and manifest numbers agree). The closures
-    // re-enter histMutex_ from inside statsDump's dump(); it is
-    // recursive for exactly that.
-    for (const auto &[name, q] :
-         {std::pair<const char *, double>{"serve.request_wall_ms.p50", 0.50},
-          {"serve.request_wall_ms.p95", 0.95},
-          {"serve.request_wall_ms.p99", 0.99}}) {
-        const double quantile = q;
-        registry_.gauge(name, [this, quantile] {
-            std::lock_guard<std::recursive_mutex> lock(histMutex_);
-            return requestWallMs_.percentile(quantile);
-        });
-    }
-    // The rolling window: what the daemon is doing *now* (last N
-    // seconds), as opposed to the since-start counters above. The
-    // gauges read the one view dumpWith() takes per dump.
-    registry_.gauge("serve.window.seconds", [this] {
-        return static_cast<double>(windowView_.windowSeconds);
-    });
-    registry_.gauge("serve.window.requests", [this] {
-        return static_cast<double>(windowView_.requests);
-    });
-    registry_.gauge("serve.window.qps", [this] { return windowView_.qps; });
-    registry_.gauge("serve.window.hit_ratio",
-                    [this] { return windowView_.hitRatio; });
-    registry_.gauge("serve.window.p50_ms",
-                    [this] { return windowView_.p50Ms; });
-    registry_.gauge("serve.window.p95_ms",
-                    [this] { return windowView_.p95Ms; });
-    registry_.gauge("serve.window.p99_ms",
-                    [this] { return windowView_.p99Ms; });
-    if (spans_ != nullptr) {
-        registry_.counter("serve.spans.recorded",
-                          [this] { return spans_->recorded(); });
-        registry_.counter("serve.spans.dropped",
-                          [this] { return spans_->dropped(); });
-    }
+    registry_.counter("serve.spans.recorded",
+                      [this] { return spans_.recorded(); });
+    registry_.counter("serve.spans.dropped",
+                      [this] { return spans_.dropped(); });
 }
 
 Daemon::~Daemon()
@@ -208,11 +200,14 @@ Daemon::stop()
         thread.join();
 
     ::unlink(options_.socketPath.c_str());
+    const RequestLedger::Summary all =
+        ledger_.view(obs::monotonicMicros()).sinceStart;
     EIP_LOG_INFO("eipd", "stopped",
                  obs::LogField("requests", requests_.load()),
-                 obs::LogField("simulated", simulated_.load()),
-                 obs::LogField("served_cache", servedCache_.load()),
-                 obs::LogField("failed", failed_.load()));
+                 obs::LogField("simulated", all.of(Outcome::Simulated)),
+                 obs::LogField("served_cache", all.of(Outcome::Cache)),
+                 obs::LogField("failed", all.of(Outcome::Failed) +
+                                             all.of(Outcome::Crashed)));
 }
 
 void
@@ -307,22 +302,18 @@ Daemon::workerLoop()
         }
 
         const uint64_t fork_start_us = obs::monotonicMicros();
-        WorkerOutcome outcome =
-            runForkedJob(work->run, work->injectCrash, spans_ != nullptr);
+        WorkerOutcome outcome = runForkedJob(work->run, work->injectCrash);
         const uint64_t fork_end_us = obs::monotonicMicros();
         const double ms =
             static_cast<double>(fork_end_us - fork_start_us) / 1000.0;
 
-        if (spans_ != nullptr) {
-            // queued: admission push to worker pickup; forked: the
-            // whole child lifetime; the child's own phase spans ride
-            // the preamble.
-            spans_->record({work->traceId, "queued", work->enqueueUs,
-                            fork_start_us - work->enqueueUs, ""});
-            spans_->record({work->traceId, "forked", fork_start_us,
-                            fork_end_us - fork_start_us, ""});
-            spans_->recordChild(work->traceId, outcome.childSpans);
-        }
+        // queued: admission push to worker pickup; forked: the whole
+        // child lifetime; the child's own phase spans ride the preamble.
+        spans_.record({work->traceId, "queued", work->enqueueUs,
+                       fork_start_us - work->enqueueUs, ""});
+        spans_.record({work->traceId, "forked", fork_start_us,
+                       fork_end_us - fork_start_us, ""});
+        spans_.recordChild(work->traceId, outcome.childSpans);
 
         if (outcome.ok) {
             EIP_LOG_INFO("eipd", "job_done", obs::LogField("job", work->id),
@@ -341,61 +332,34 @@ Daemon::workerLoop()
         if (outcome.ok && !work->injectCrash)
             cache_.put(work->key, std::move(outcome.artifact));
         endRequest(*work,
-                   outcome.ok        ? Terminal::Done
-                   : outcome.crashed ? Terminal::Crashed
-                                     : Terminal::Failed,
+                   outcome.ok        ? Outcome::Simulated
+                   : outcome.crashed ? Outcome::Crashed
+                                     : Outcome::Failed,
                    fork_end_us, ms, std::move(outcome.error));
     }
 }
 
 void
-Daemon::endRequest(const Work &work, Terminal terminal, uint64_t end_us,
-                   double wall_ms, std::string error)
+Daemon::endRequest(const Work &work, Outcome outcome,
+                   uint64_t end_us, double wall_ms, std::string error)
 {
-    // Every counter, sample and span first: a client that sees the
-    // terminal state sees its accounting too.
+    // The ledger and the root span first: a client that sees the
+    // terminal state sees its accounting too. Indexed by Outcome.
     static constexpr const char *kSpanTerminals[] = {
         "cache", "done", "failed", "crashed", "rejected"};
-    MetricsWindow::Outcome outcome = MetricsWindow::Outcome::Rejected;
-    switch (terminal) {
-      case Terminal::Cache:
-        servedCache_.fetch_add(1);
-        outcome = MetricsWindow::Outcome::Cache;
-        break;
-      case Terminal::Done:
-        simulated_.fetch_add(1);
-        outcome = MetricsWindow::Outcome::Simulated;
-        break;
-      case Terminal::Crashed:
-        workerCrashes_.fetch_add(1);
-        [[fallthrough]];
-      case Terminal::Failed:
-        failed_.fetch_add(1);
-        outcome = MetricsWindow::Outcome::Failed;
-        break;
-      case Terminal::Rejected:
-        break; // the queue counts its own refusals
-    }
-    // A rejected request never ran: the window sees it at 0 ms, the
-    // wall-time histogram not at all.
-    if (terminal != Terminal::Rejected) {
-        std::lock_guard<std::recursive_mutex> lock(histMutex_);
-        requestWallMs_.record(static_cast<size_t>(wall_ms));
-    }
-    metrics_.record(outcome, wall_ms);
-    if (spans_ != nullptr)
-        spans_->record({work.traceId, "request", work.submitUs,
-                        end_us - work.submitUs,
-                        kSpanTerminals[static_cast<size_t>(terminal)]});
-    if (terminal == Terminal::Rejected)
+    ledger_.record(outcome, wall_ms, end_us);
+    spans_.record({work.traceId, "request", work.submitUs,
+                   end_us - work.submitUs,
+                   kSpanTerminals[static_cast<size_t>(outcome)]});
+    if (outcome == Outcome::Rejected)
         return;
 
     std::lock_guard<std::mutex> lock(jobsMutex_);
     Job &job = jobs_[work.id];
-    job.state = terminal == Terminal::Cache || terminal == Terminal::Done
+    job.state = outcome == Outcome::Cache || outcome == Outcome::Simulated
                     ? Job::State::Done
                     : Job::State::Failed;
-    job.servedFromCache = terminal == Terminal::Cache;
+    job.servedFromCache = outcome == Outcome::Cache;
     job.key = work.key;
     job.error = std::move(error);
     terminalIds_.push_back(work.id);
@@ -477,7 +441,7 @@ Daemon::handleSubmit(const RunRequest &run)
     // invalid paths above never become request spans, so closed root
     // spans reconcile exactly against the outcome counters.
     work.submitUs = obs::monotonicMicros();
-    work.traceId = spans_ != nullptr ? spans_->newTrace() : 0;
+    work.traceId = spans_.newTrace();
     work.id = nextJobId_.fetch_add(1);
 
     // Cache probe first: a hit answers without consuming queue space or
@@ -486,11 +450,10 @@ Daemon::handleSubmit(const RunRequest &run)
     if (!work.injectCrash) {
         const bool hit = cache_.lookup(work.key);
         const uint64_t probe_end_us = obs::monotonicMicros();
-        if (spans_ != nullptr)
-            spans_->record({work.traceId, "cache_lookup", work.submitUs,
-                            probe_end_us - work.submitUs, ""});
+        spans_.record({work.traceId, "cache_lookup", work.submitUs,
+                       probe_end_us - work.submitUs, ""});
         if (hit) {
-            endRequest(work, Terminal::Cache, probe_end_us,
+            endRequest(work, Outcome::Cache, probe_end_us,
                        static_cast<double>(probe_end_us - work.submitUs) /
                            1000.0);
             EIP_LOG_DEBUG("eipd", "cache_served",
@@ -515,7 +478,8 @@ Daemon::handleSubmit(const RunRequest &run)
             jobs_[id].key = key;
     }
     if (!admitted) {
-        endRequest(work, Terminal::Rejected, obs::monotonicMicros(), 0.0);
+        endRequest(work, Outcome::Rejected,
+                   obs::monotonicMicros(), 0.0);
         EIP_LOG_WARN("eipd", "rejected",
                      obs::LogField("workload", run.workload),
                      obs::LogField("queue_capacity",
@@ -576,15 +540,7 @@ Daemon::handleJob(Request::Op op, uint64_t id)
 obs::CounterDump
 Daemon::statsDump()
 {
-    return dumpWith(metrics_.view());
-}
-
-obs::CounterDump
-Daemon::dumpWith(const MetricsWindow::View &view)
-{
-    std::lock_guard<std::recursive_mutex> lock(histMutex_);
-    windowView_ = view;
-    return registry_.dump();
+    return withLedger(registry_.dump(), ledger_.view(obs::monotonicMicros()));
 }
 
 std::string
@@ -608,25 +564,26 @@ Daemon::statsJson()
 std::string
 Daemon::metricsJson()
 {
-    const MetricsWindow::View view = metrics_.view();
+    const RequestLedger::View view = ledger_.view(obs::monotonicMicros());
+    const RequestLedger::Summary &win = view.window;
     obs::JsonWriter json = responseHead(Request::Op::Metrics, "ok");
     json.key("window").beginObject();
     json.kv("seconds", view.windowSeconds);
-    json.kv("requests", view.requests);
-    json.kv("cache_hits", view.cacheHits);
-    json.kv("simulated", view.simulated);
-    json.kv("failed", view.failed);
-    json.kv("rejected", view.rejected);
+    json.kv("requests", win.requests);
+    json.kv("cache_hits", win.of(Outcome::Cache));
+    json.kv("simulated", win.of(Outcome::Simulated));
+    json.kv("failed", win.of(Outcome::Failed) + win.of(Outcome::Crashed));
+    json.kv("rejected", win.of(Outcome::Rejected));
     json.kv("qps", view.qps);
     json.kv("hit_ratio", view.hitRatio);
-    json.kv("p50_ms", view.p50Ms);
-    json.kv("p95_ms", view.p95Ms);
-    json.kv("p99_ms", view.p99Ms);
+    json.kv("p50_ms", win.p50Ms);
+    json.kv("p95_ms", win.p95Ms);
+    json.kv("p99_ms", win.p99Ms);
     json.endObject();
     // The Prometheus page rides the NDJSON protocol as one escaped
     // string value; eipc metrics unescapes it back to scrape text.
     json.kv("exposition",
-            prometheusText(dumpWith(view),
+            prometheusText(withLedger(registry_.dump(), view),
                            {{"tool", "eipd"},
                             {"git_describe", gitDescribe_}}));
     json.endObject();
@@ -636,12 +593,8 @@ Daemon::metricsJson()
 std::string
 Daemon::spansJson()
 {
-    if (spans_ == nullptr)
-        return invalidResponse(Request::Op::Spans,
-                               "span collection is disabled "
-                               "(daemon started with --span-limit 0)");
-    std::string doc = spans_->toJson({{"tool", "eipd"},
-                                      {"git_describe", gitDescribe_}});
+    std::string doc = spans_.toJson({{"tool", "eipd"},
+                                     {"git_describe", gitDescribe_}});
     // One line on the wire, like every other response.
     if (!doc.empty() && doc.back() == '\n')
         doc.pop_back();

@@ -14,9 +14,10 @@
  * key, fetch reads the bytes by it, and terminal records retire after
  * kTerminalRecords newer ones. A resubmitted request is answered from
  * the cache without forking, byte-identical to the cold run.
- * Everything the daemon does is observable: cache, queue and failure
- * counters live in an obs::CounterRegistry served by the "stats" op as
- * one eip-serve/v1 document.
+ * Everything the daemon does is observable: cache and queue counters
+ * live in an obs::CounterRegistry, every finished request is recorded
+ * once in a RequestLedger, and the "stats" op serves both as one
+ * eip-serve/v1 document.
  */
 
 #ifndef EIP_SERVE_DAEMON_HH
@@ -27,7 +28,6 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -41,7 +41,6 @@
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/result_cache.hh"
-#include "util/histogram.hh"
 
 namespace eip::serve {
 
@@ -54,8 +53,7 @@ struct DaemonOptions
     size_t queueDepth = 64;
     /** Result-cache budget in artifact bytes. */
     uint64_t cacheBytes = 64ull << 20;
-    /** Request-span ring capacity; 0 disables span collection (the
-     *  "spans" op then answers invalid and workers skip the preamble). */
+    /** Request-span ring capacity (positive). */
     size_t spanLimit = 4096;
     /** Rolling metrics window length for the "metrics" op. */
     uint64_t metricsWindowSeconds = 60;
@@ -96,7 +94,7 @@ class Daemon
     std::string metricsJson();
 
     /** The eip-trace/v1 serve span document (one line, no trailing
-     *  newline), or the invalid answer when spans are disabled. */
+     *  newline). */
     std::string spansJson();
 
   private:
@@ -112,7 +110,7 @@ class Daemon
         harness::RunJob run;
         std::string key;
         bool injectCrash = false;
-        uint64_t traceId = 0;   ///< span trace id (0 when spans off)
+        uint64_t traceId = 0;   ///< span trace id
         uint64_t submitUs = 0;  ///< request-received monotonic time
         uint64_t enqueueUs = 0; ///< admission-queue push time
     };
@@ -133,17 +131,6 @@ class Daemon
         std::string error;
     };
 
-    /** How a request ended. In the order of endRequest's span
-     *  terminal names. */
-    enum class Terminal
-    {
-        Cache,
-        Done,
-        Failed,
-        Crashed,
-        Rejected,
-    };
-
     /** One client connection and the thread serving it. */
     struct Connection
     {
@@ -158,8 +145,8 @@ class Daemon
     void reapConnections();
     void serveConnection(Connection &conn);
     void workerLoop();
-    void endRequest(const Work &work, Terminal terminal, uint64_t end_us,
-                    double wall_ms, std::string error = {});
+    void endRequest(const Work &work, RequestLedger::Outcome outcome,
+                    uint64_t end_us, double wall_ms, std::string error = {});
 
     std::string dispatch(const Request &request);
     std::string handleSubmit(const RunRequest &run);
@@ -167,9 +154,6 @@ class Daemon
      *  artifact, read from cache_). */
     std::string handleJob(Request::Op op, uint64_t id);
     std::string invalidResponse(Request::Op op, const std::string &error);
-    /** The registry dump under @p view, which the serve.window.*
-     *  gauges read: one window view per dump, not one per gauge. */
-    obs::CounterDump dumpWith(const MetricsWindow::View &view);
 
     DaemonOptions options_;
     std::string gitDescribe_;
@@ -198,25 +182,9 @@ class Daemon
     std::atomic<uint64_t> requests_{0};
     std::atomic<uint64_t> invalid_{0};
     std::atomic<uint64_t> submits_{0};
-    std::atomic<uint64_t> servedCache_{0};
-    std::atomic<uint64_t> simulated_{0};
-    std::atomic<uint64_t> failed_{0};
-    std::atomic<uint64_t> workerCrashes_{0};
 
-    /** Per-request wall time, bucketed in milliseconds. Guarded by
-     *  histMutex_ (also held across statsJson's registry dump so a
-     *  concurrent record can't tear a snapshot; recursive because the
-     *  registered percentile gauges re-enter it from inside dump()). */
-    std::recursive_mutex histMutex_;
-    Histogram requestWallMs_{128};
-
-    /** The view of the dump in progress; guarded by histMutex_. */
-    MetricsWindow::View windowView_;
-
-    /** Request spans; allocated only when options_.spanLimit > 0 so a
-     *  disabled collector is one pointer test on every hook. */
-    std::unique_ptr<obs::SpanCollector> spans_;
-    MetricsWindow metrics_;
+    RequestLedger ledger_;
+    obs::SpanCollector spans_;
 
     obs::CounterRegistry registry_;
 };

@@ -1,80 +1,56 @@
 #include "serve/metrics.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
-
-#include "obs/span.hh"
-#include "util/stats_math.hh"
 
 namespace eip::serve {
 
 namespace {
 
-/** Keep a flood from growing the deque without bound inside one
- *  window; beyond this the oldest samples go early (the view is
- *  approximate during pathological storms, exact otherwise). */
-constexpr size_t kMaxSamples = 1 << 16;
+/** Latency buckets: one per microsecond below 2^(kSubBits+1) us, then
+ *  2^kSubBits sub-buckets per power of two up to 2^kTopBit us (~67 s).
+ *  A bucket's index is its top kSubBits+1 bits plus kSub per shift. */
+constexpr unsigned kSubBits = 4;
+constexpr unsigned kTopBit = 26;
+constexpr size_t kSub = size_t{1} << kSubBits;
+constexpr size_t kLatencyBuckets = kSub + (kTopBit - kSubBits) * kSub;
 
-} // namespace
-
-MetricsWindow::MetricsWindow(uint64_t window_seconds)
-    : windowUs_((window_seconds == 0 ? 1 : window_seconds) * 1000000ull)
+size_t
+bucketOf(double latency_ms)
 {
+    const double us = latency_ms * 1000.0;
+    if (us >= static_cast<double>(uint64_t{1} << kTopBit))
+        return kLatencyBuckets; // Histogram's overflow bucket
+    const uint64_t v = us > 0.0 ? static_cast<uint64_t>(us) : 0;
+    const unsigned shift =
+        std::max<unsigned>(std::bit_width(v), kSubBits + 1) - kSubBits - 1;
+    return static_cast<size_t>(v >> shift) + shift * kSub;
 }
 
-void
-MetricsWindow::record(Outcome outcome, double latency_ms)
+/** Lower edge of @p bucket in microseconds (inverts bucketOf). */
+double
+bucketLowUs(size_t bucket)
 {
-    const uint64_t now = obs::monotonicMicros();
-    std::lock_guard<std::mutex> lock(mutex_);
-    pruneLocked(now);
-    if (samples_.size() >= kMaxSamples)
-        samples_.pop_front();
-    samples_.push_back({now, outcome, latency_ms});
+    const size_t shift = bucket < kSub ? 0 : bucket / kSub - 1;
+    return static_cast<double>((bucket - shift * kSub) << shift);
 }
 
-void
-MetricsWindow::pruneLocked(uint64_t now_us)
+/** A fractional bucket index (Histogram::percentile) in milliseconds,
+ *  linear between bucket midpoints: a sample is off by at most half a
+ *  bucket (1/32). The overflow bucket saturates at its lower edge. */
+double
+indexToMs(double index)
 {
-    const uint64_t horizon = now_us > windowUs_ ? now_us - windowUs_ : 0;
-    while (!samples_.empty() && samples_.front().atUs < horizon)
-        samples_.pop_front();
+    auto mid = [](size_t bucket) {
+        return bucket >= kLatencyBuckets
+                   ? bucketLowUs(kLatencyBuckets)
+                   : (bucketLowUs(bucket) + bucketLowUs(bucket + 1)) / 2.0;
+    };
+    const auto lo = static_cast<size_t>(index);
+    const double frac = index - static_cast<double>(lo);
+    return (mid(lo) + frac * (mid(lo + 1) - mid(lo))) / 1000.0;
 }
-
-MetricsWindow::View
-MetricsWindow::view()
-{
-    const uint64_t now = obs::monotonicMicros();
-    std::lock_guard<std::mutex> lock(mutex_);
-    pruneLocked(now);
-
-    View v;
-    v.windowSeconds = windowUs_ / 1000000ull;
-    // Indexed by Outcome.
-    uint64_t *counts[] = {&v.cacheHits, &v.simulated, &v.failed,
-                          &v.rejected};
-    std::vector<double> latencies;
-    latencies.reserve(samples_.size());
-    for (const Sample &s : samples_) {
-        ++v.requests;
-        ++*counts[static_cast<size_t>(s.outcome)];
-        if (s.outcome != Outcome::Rejected)
-            latencies.push_back(s.latencyMs);
-    }
-    v.qps = static_cast<double>(v.requests) /
-            static_cast<double>(v.windowSeconds);
-    const uint64_t looked_up = v.cacheHits + v.simulated;
-    v.hitRatio = looked_up == 0 ? 0.0
-                                : static_cast<double>(v.cacheHits) /
-                                      static_cast<double>(looked_up);
-    if (!latencies.empty()) {
-        v.p50Ms = percentile(latencies, 0.50);
-        v.p95Ms = percentile(latencies, 0.95);
-        v.p99Ms = percentile(latencies, 0.99);
-    }
-    return v;
-}
-
-namespace {
 
 std::string
 promName(const std::string &dotted)
@@ -97,6 +73,104 @@ appendValue(std::string &out, double value)
 }
 
 } // namespace
+
+RequestLedger::Tally::Tally() : latency(kLatencyBuckets) {}
+
+void
+RequestLedger::Tally::add(Outcome outcome, size_t bucket)
+{
+    ++count[static_cast<size_t>(outcome)];
+    if (outcome != Outcome::Rejected)
+        latency.record(bucket);
+}
+
+void
+RequestLedger::Tally::merge(const Tally &other)
+{
+    for (size_t i = 0; i < kOutcomes; ++i)
+        count[i] += other.count[i];
+    if (other.latency.total() == 0)
+        return;
+    // Bucket buckets() is the overflow bucket; record() maps it back.
+    for (size_t bucket = 0; bucket <= latency.buckets(); ++bucket)
+        if (const uint64_t n = other.latency.count(bucket))
+            latency.record(bucket, n);
+}
+
+RequestLedger::Summary
+RequestLedger::Tally::summary() const
+{
+    Summary s;
+    s.count = count;
+    for (uint64_t n : count)
+        s.requests += n;
+    if (latency.total() > 0) {
+        s.p50Ms = indexToMs(latency.percentile(0.50));
+        s.p95Ms = indexToMs(latency.percentile(0.95));
+        s.p99Ms = indexToMs(latency.percentile(0.99));
+    }
+    return s;
+}
+
+RequestLedger::RequestLedger(uint64_t window_seconds, uint64_t now_us)
+    : windowUs_((window_seconds == 0 ? 1 : window_seconds) * 1000000ull),
+      slotUs_(windowUs_ / kSlots), startUs_(now_us)
+{
+}
+
+void
+RequestLedger::record(Outcome outcome, double latency_ms, uint64_t now_us)
+{
+    const size_t bucket = bucketOf(latency_ms);
+    const uint64_t epoch = (now_us > startUs_ ? now_us - startUs_ : 0) /
+                           slotUs_;
+    std::lock_guard<std::mutex> lock(mutex_);
+    total_.add(outcome, bucket);
+    if (outcome != Outcome::Rejected)
+        latencySumMs_ += latency_ms;
+    // A slot still holding an older epoch is reused; one already moved
+    // past this sample's epoch (a late record) keeps it out of the
+    // window, not out of the since-start counts.
+    Tally &slot = slots_[epoch % kSlots];
+    if (slot.epoch < epoch) {
+        slot = Tally();
+        slot.epoch = epoch;
+    }
+    if (slot.epoch == epoch)
+        slot.add(outcome, bucket);
+}
+
+RequestLedger::View
+RequestLedger::view(uint64_t now_us)
+{
+    const uint64_t age = now_us > startUs_ ? now_us - startUs_ : 0;
+    const uint64_t epoch = age / slotUs_;
+    Tally window;
+    View v;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const Tally &slot : slots_)
+            if (slot.epoch + kSlots > epoch)
+                window.merge(slot);
+        v.sinceStart = total_.summary();
+        v.latencySumMs = latencySumMs_;
+    }
+    v.windowSeconds = windowUs_ / 1000000ull;
+    v.window = window.summary();
+    // The counted slots cover the ledger's age until it is a window
+    // old, then the last kSlots - 1 whole slots plus the current one.
+    const uint64_t span_us =
+        epoch < kSlots ? age : age - (epoch - (kSlots - 1)) * slotUs_;
+    v.qps = span_us == 0 ? 0.0
+                         : static_cast<double>(v.window.requests) * 1e6 /
+                               static_cast<double>(span_us);
+    const uint64_t hits = v.window.of(Outcome::Cache);
+    const uint64_t looked_up = hits + v.window.of(Outcome::Simulated);
+    v.hitRatio = looked_up == 0 ? 0.0
+                                : static_cast<double>(hits) /
+                                      static_cast<double>(looked_up);
+    return v;
+}
 
 std::string
 prometheusText(const obs::CounterDump &dump,
@@ -123,17 +197,6 @@ prometheusText(const obs::CounterDump &dump,
         const std::string p = promName(name);
         out += "# TYPE " + p + " gauge\n" + p + " ";
         appendValue(out, value);
-        out += "\n";
-    }
-    for (const auto &[name, h] : dump.histograms) {
-        // Bucket keys are already scaled units (milliseconds for the
-        // request-wall histogram); export the summary pair scrapers
-        // can rate() and divide.
-        const std::string p = promName(name);
-        out += "# TYPE " + p + " summary\n";
-        out += p + "_count " + std::to_string(h.total) + "\n";
-        out += p + "_sum ";
-        appendValue(out, h.mean * static_cast<double>(h.total));
         out += "\n";
     }
     return out;

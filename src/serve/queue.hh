@@ -38,10 +38,8 @@ class BoundedQueue
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_ || items_.size() >= capacity_) {
-                ++rejected_;
+            if (closed_ || items_.size() >= capacity_)
                 return false;
-            }
             items_.push_back(std::move(value));
             if (items_.size() > highWater_)
                 highWater_ = items_.size();
@@ -92,14 +90,6 @@ class BoundedQueue
         return highWater_;
     }
 
-    /** Pushes refused because the queue was full (or closed). */
-    uint64_t
-    rejected() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return rejected_;
-    }
-
   private:
     mutable std::mutex mutex_;
     std::condition_variable available_;
@@ -107,7 +97,6 @@ class BoundedQueue
     size_t capacity_;
     bool closed_ = false;
     uint64_t highWater_ = 0;
-    uint64_t rejected_ = 0;
 };
 
 } // namespace eip::serve

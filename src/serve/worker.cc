@@ -35,11 +35,10 @@ writeAll(int fd, const std::string &text)
     }
 }
 
-/** Child-side body: simulate, stream the artifact (followed by the
- *  span preamble when profiling), _exit. Never returns. */
+/** Child-side body: simulate, stream the artifact followed by the
+ *  span preamble, _exit. Never returns. */
 [[noreturn]] void
-childMain(int write_fd, const harness::RunJob &job, bool inject_crash,
-          bool collect_spans)
+childMain(int write_fd, const harness::RunJob &job, bool inject_crash)
 {
     if (inject_crash) {
         // Mid-run fault: a recognizable artifact prefix is already on
@@ -50,20 +49,17 @@ childMain(int write_fd, const harness::RunJob &job, bool inject_crash,
     }
     obs::PhaseProfiler profiler;
     harness::ArtifactRun run = harness::runJobArtifact(
-        job, /*use_program_cache=*/false,
-        collect_spans ? &profiler : nullptr);
+        job, /*use_program_cache=*/false, &profiler);
     writeAll(write_fd, run.json);
-    if (collect_spans) {
-        std::vector<obs::SpanRecord> spans;
-        for (const obs::PhaseInterval &iv : profiler.intervals()) {
-            obs::SpanRecord span;
-            span.name = iv.name;
-            span.startUs = iv.startUs;
-            span.durUs = iv.endUs - iv.startUs;
-            spans.push_back(std::move(span));
-        }
-        writeAll(write_fd, obs::spanPreambleJson(spans));
+    std::vector<obs::SpanRecord> spans;
+    for (const obs::PhaseInterval &iv : profiler.intervals()) {
+        obs::SpanRecord span;
+        span.name = iv.name;
+        span.startUs = iv.startUs;
+        span.durUs = iv.endUs - iv.startUs;
+        spans.push_back(std::move(span));
     }
+    writeAll(write_fd, obs::spanPreambleJson(spans));
     ::close(write_fd);
     ::_exit(0);
 }
@@ -71,8 +67,7 @@ childMain(int write_fd, const harness::RunJob &job, bool inject_crash,
 } // namespace
 
 WorkerOutcome
-runForkedJob(const harness::RunJob &job, bool inject_crash,
-             bool collect_spans)
+runForkedJob(const harness::RunJob &job, bool inject_crash)
 {
     WorkerOutcome outcome;
 
@@ -92,7 +87,7 @@ runForkedJob(const harness::RunJob &job, bool inject_crash,
 
     if (pid == 0) {
         ::close(pipe_fds[0]);
-        childMain(pipe_fds[1], job, inject_crash, collect_spans);
+        childMain(pipe_fds[1], job, inject_crash);
     }
 
     ::close(pipe_fds[1]);

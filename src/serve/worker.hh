@@ -31,8 +31,7 @@ struct WorkerOutcome
     /** Phase spans the child recorded (program_build, warmup, measure,
      *  fill_drain, serialize — absolute monotonic timestamps), relayed
      *  over the pipe as an eip-span/v1 preamble after the artifact
-     *  line. Empty unless collect_spans, or when the child died before
-     *  writing it. */
+     *  line. Empty when the child died before writing it. */
     std::vector<obs::SpanRecord> childSpans;
 };
 
@@ -40,18 +39,17 @@ struct WorkerOutcome
  * Run @p job in a forked worker and collect its artifact. With
  * @p inject_crash the child writes a deliberately truncated artifact
  * and abort()s mid-run — the fault path the crash-isolation tests
- * exercise end to end. With @p collect_spans the child profiles its
- * run phases and appends them as a one-line eip-span/v1 preamble after
- * the artifact; the artifact bytes themselves are unchanged, so cached
- * results stay byte-identical whether spans are on or off.
+ * exercise end to end. The child profiles its run phases and appends
+ * them as a one-line eip-span/v1 preamble after the artifact; the
+ * artifact bytes themselves are those of an unprofiled run, so cached
+ * results stay byte-identical to in-process output.
  *
  * The child never touches the parent's ProgramCache or any other lock
  * shared with parent threads (see runJobArtifact's fork-safety note),
  * and leaves via _exit() so no atexit handler of the embedding process
  * (bench banners, artifact writers) runs twice.
  */
-WorkerOutcome runForkedJob(const harness::RunJob &job, bool inject_crash,
-                           bool collect_spans = false);
+WorkerOutcome runForkedJob(const harness::RunJob &job, bool inject_crash);
 
 } // namespace eip::serve
 

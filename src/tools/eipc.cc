@@ -73,9 +73,10 @@ parseU64(const std::string &flag, const char *text)
 }
 
 /** Human-readable stats table: every counter and gauge of the daemon's
- *  stats document, one row each. Histograms are summarized by their
- *  registered percentile gauges (serve.request_wall_ms.p50/p95/p99),
- *  so the table alone answers the usual "how is the daemon doing". */
+ *  stats document, one row each. Request latency arrives as gauges
+ *  (serve.request_wall_ms.p50/p95/p99 and .sum, beside the .count
+ *  counter), so the table alone answers the usual "how is the daemon
+ *  doing"; the histograms section is not tabulated. */
 std::string
 statsTable(const eip::obs::JsonValue &doc)
 {

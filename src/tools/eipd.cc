@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "obs/log.hh"
@@ -34,7 +33,7 @@ usage(const char *argv0)
     std::printf("  --cache-mb N       result cache budget in MB "
                 "(default 64)\n");
     std::printf("  --span-limit N     request-span ring capacity "
-                "(default 4096; 0 disables spans)\n");
+                "(default 4096)\n");
     std::printf("  --metrics-window S rolling metrics window in seconds "
                 "(default 60)\n");
     std::printf("  --log-level LEVEL  structured-log threshold on stderr: "
@@ -51,20 +50,6 @@ parsePositive(const char *flag, const char *text)
     unsigned long long value = std::strtoull(text, &end, 10);
     if (!end || *end != '\0' || value == 0) {
         std::fprintf(stderr, "eipd: %s needs a positive integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
-uint64_t
-parseCount(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (!end || *end != '\0' || (value == 0 && std::strcmp(text, "0") != 0)) {
-        std::fprintf(stderr, "eipd: %s needs a non-negative integer, "
-                             "got '%s'\n",
                      flag, text);
         std::exit(2);
     }
@@ -105,7 +90,7 @@ main(int argc, char **argv)
                 parsePositive("--cache-mb", operand()) * (1ull << 20);
         } else if (arg == "--span-limit") {
             options.spanLimit = static_cast<size_t>(
-                parseCount("--span-limit", operand()));
+                parsePositive("--span-limit", operand()));
         } else if (arg == "--metrics-window") {
             options.metricsWindowSeconds =
                 parsePositive("--metrics-window", operand());

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the flight-recorder layer (src/obs log/span/phase plus the
- * serve-side metrics window): structured-log rendering and level
+ * serve-side request ledger): structured-log rendering and level
  * gating, phase-profiler accounting, span-collector ring/roll-up
  * semantics and the eip-span/v1 fork framing, the serve-trace reader
- * round trip, interpolated histogram percentiles, the rolling metrics
- * window with its Prometheus exposition, and the daemon end to end —
+ * round trip, interpolated histogram percentiles, the request ledger
+ * with its Prometheus exposition, and the daemon end to end —
  * span terminals reconciling exactly against the serve counters for
  * every outcome class (done, cache, crashed, rejected).
  */
@@ -15,7 +15,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/artifacts.hh"
@@ -32,6 +35,7 @@
 #include "serve/worker.hh"
 #include "trace/workloads.hh"
 #include "util/histogram.hh"
+#include "util/rng.hh"
 #include "util/stats_math.hh"
 
 namespace {
@@ -199,36 +203,196 @@ TEST(HistogramPercentile, AgreesWithTheSharedType7Estimator)
     EXPECT_DOUBLE_EQ(empty.percentile(0.5), 0.0);
 }
 
+using Outcome = serve::RequestLedger::Outcome;
+
+/** A fixed monotonic origin for the ledger tests' explicit clock. */
+constexpr uint64_t kT0 = 1000000000ull;
+constexpr uint64_t kSecond = 1000000ull;
+
+/** True when @p got is within one latency bucket (1/16) of @p want. */
+::testing::AssertionResult
+withinOneBucket(double got, double want)
+{
+    if (std::fabs(got - want) <= want / 16.0)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << got << " is not within 1/16 of " << want;
+}
+
 TEST(MetricsWindow, ViewCountsOutcomesAndInterpolatesLatencies)
 {
-    serve::MetricsWindow window(60);
-    window.record(serve::MetricsWindow::Outcome::Cache, 1.0);
-    window.record(serve::MetricsWindow::Outcome::Cache, 2.0);
-    window.record(serve::MetricsWindow::Outcome::Simulated, 10.0);
-    window.record(serve::MetricsWindow::Outcome::Simulated, 20.0);
-    window.record(serve::MetricsWindow::Outcome::Failed, 5.0);
-    window.record(serve::MetricsWindow::Outcome::Rejected, 0.0);
+    serve::RequestLedger ledger(60, kT0);
+    const uint64_t now = kT0 + 30 * kSecond;
+    ledger.record(Outcome::Cache, 1.0, now);
+    ledger.record(Outcome::Cache, 2.0, now);
+    ledger.record(Outcome::Simulated, 10.0, now);
+    ledger.record(Outcome::Simulated, 20.0, now);
+    ledger.record(Outcome::Failed, 5.0, now);
+    ledger.record(Outcome::Rejected, 0.0, now);
 
-    serve::MetricsWindow::View view = window.view();
+    serve::RequestLedger::View view = ledger.view(now);
     EXPECT_EQ(view.windowSeconds, 60u);
-    EXPECT_EQ(view.requests, 6u);
-    EXPECT_EQ(view.cacheHits, 2u);
-    EXPECT_EQ(view.simulated, 2u);
-    EXPECT_EQ(view.failed, 1u);
-    EXPECT_EQ(view.rejected, 1u);
-    EXPECT_DOUBLE_EQ(view.qps, 6.0 / 60.0);
+    EXPECT_EQ(view.window.requests, 6u);
+    EXPECT_EQ(view.window.of(Outcome::Cache), 2u);
+    EXPECT_EQ(view.window.of(Outcome::Simulated), 2u);
+    EXPECT_EQ(view.window.of(Outcome::Failed), 1u);
+    EXPECT_EQ(view.window.of(Outcome::Rejected), 1u);
+    // The ledger is 30 s old: the window has seen only those 30 s.
+    EXPECT_DOUBLE_EQ(view.qps, 6.0 / 30.0);
     EXPECT_DOUBLE_EQ(view.hitRatio, 2.0 / 4.0);
     // Percentiles span the completed requests only (rejected never ran).
-    EXPECT_DOUBLE_EQ(view.p50Ms,
-                     eip::percentile({1.0, 2.0, 10.0, 20.0, 5.0}, 0.5));
-    EXPECT_GE(view.p99Ms, view.p95Ms);
-    EXPECT_GE(view.p95Ms, view.p50Ms);
+    EXPECT_TRUE(withinOneBucket(
+        view.window.p50Ms, eip::percentile({1.0, 2.0, 10.0, 20.0, 5.0}, 0.5)));
+    EXPECT_GE(view.window.p99Ms, view.window.p95Ms);
+    EXPECT_GE(view.window.p95Ms, view.window.p50Ms);
 
-    serve::MetricsWindow idle(60);
-    serve::MetricsWindow::View empty = idle.view();
-    EXPECT_EQ(empty.requests, 0u);
+    serve::RequestLedger idle(60, kT0);
+    serve::RequestLedger::View empty = idle.view(kT0 + 30 * kSecond);
+    EXPECT_EQ(empty.window.requests, 0u);
     EXPECT_DOUBLE_EQ(empty.qps, 0.0);
     EXPECT_DOUBLE_EQ(empty.hitRatio, 0.0);
+    EXPECT_DOUBLE_EQ(empty.window.p50Ms, 0.0);
+}
+
+TEST(RequestLedger, CountsEveryRequestInsideOneWindow)
+{
+    // More requests than a storm at ~2,300 rps puts in a 60 s window.
+    serve::RequestLedger ledger(60, kT0);
+    for (uint64_t i = 0; i < 130000; ++i) {
+        ledger.record(i % 100 == 0 ? Outcome::Simulated : Outcome::Cache,
+                      0.2, kT0 + i * 400); // 2,500 rps for 52 s
+        if (i + 1 == 70000) {
+            EXPECT_EQ(ledger.view(kT0 + i * 400).window.requests, 70000u);
+        }
+    }
+    serve::RequestLedger::View view = ledger.view(kT0 + 52 * kSecond);
+    EXPECT_EQ(view.window.requests, 130000u);
+    EXPECT_EQ(view.window.of(Outcome::Simulated), 1300u);
+    EXPECT_EQ(view.sinceStart.requests, 130000u);
+}
+
+TEST(RequestLedger, ResolvesSubMillisecondAndSlowRequests)
+{
+    serve::RequestLedger fast(60, kT0);
+    fast.record(Outcome::Cache, 0.18, kT0);
+    serve::RequestLedger::View view = fast.view(kT0);
+    EXPECT_GT(view.window.p50Ms, 0.0);
+    EXPECT_TRUE(withinOneBucket(view.window.p50Ms, 0.18));
+    EXPECT_TRUE(withinOneBucket(view.sinceStart.p50Ms, 0.18));
+
+    serve::RequestLedger slow(60, kT0);
+    slow.record(Outcome::Simulated, 230.0, kT0);
+    view = slow.view(kT0);
+    EXPECT_GE(view.window.p99Ms, 200.0);
+    EXPECT_GE(view.sinceStart.p99Ms, 200.0);
+    EXPECT_DOUBLE_EQ(view.latencySumMs, 230.0);
+}
+
+TEST(RequestLedger, PercentilesAgreeWithTheSharedEstimatorWithinOneBucket)
+{
+    // Log-uniform over 0.05..300 ms: every octave of the range is hit.
+    serve::RequestLedger ledger(60, kT0);
+    Rng rng(27);
+    std::vector<double> latencies;
+    double sum = 0.0;
+    for (int i = 0; i < 20000; ++i) {
+        const double ms = 0.05 * std::pow(300.0 / 0.05, rng.uniform());
+        latencies.push_back(ms);
+        sum += ms;
+        ledger.record(Outcome::Cache, ms, kT0 + 10 * kSecond);
+    }
+    serve::RequestLedger::View view = ledger.view(kT0 + 10 * kSecond);
+    for (const serve::RequestLedger::Summary &s :
+         {view.window, view.sinceStart}) {
+        EXPECT_TRUE(withinOneBucket(s.p50Ms, percentile(latencies, 0.50)));
+        EXPECT_TRUE(withinOneBucket(s.p95Ms, percentile(latencies, 0.95)));
+        EXPECT_TRUE(withinOneBucket(s.p99Ms, percentile(latencies, 0.99)));
+    }
+    EXPECT_NEAR(view.latencySumMs, sum, sum * 1e-12);
+}
+
+TEST(RequestLedger, OldRequestsLeaveTheWindowButNotTheTotals)
+{
+    serve::RequestLedger ledger(60, kT0);
+    ledger.record(Outcome::Simulated, 100.0, kT0 + 5 * kSecond);
+    ledger.record(Outcome::Crashed, 50.0, kT0 + 5 * kSecond);
+    ledger.record(Outcome::Cache, 0.3, kT0 + 70 * kSecond);
+    ledger.record(Outcome::Rejected, 0.0, kT0 + 70 * kSecond);
+
+    serve::RequestLedger::View view = ledger.view(kT0 + 70 * kSecond);
+    EXPECT_EQ(view.window.requests, 2u);
+    EXPECT_EQ(view.window.of(Outcome::Simulated), 0u);
+    EXPECT_EQ(view.window.of(Outcome::Crashed), 0u);
+    EXPECT_DOUBLE_EQ(view.hitRatio, 1.0);
+    EXPECT_TRUE(withinOneBucket(view.window.p99Ms, 0.3));
+
+    EXPECT_EQ(view.sinceStart.requests, 4u);
+    EXPECT_EQ(view.sinceStart.of(Outcome::Simulated), 1u);
+    EXPECT_EQ(view.sinceStart.of(Outcome::Crashed), 1u);
+    EXPECT_EQ(view.sinceStart.of(Outcome::Cache), 1u);
+    EXPECT_EQ(view.sinceStart.of(Outcome::Rejected), 1u);
+    EXPECT_DOUBLE_EQ(view.latencySumMs, 150.3);
+    EXPECT_GE(view.sinceStart.p99Ms, 90.0);
+
+    // A long idle spell empties the window entirely.
+    view = ledger.view(kT0 + 200 * kSecond);
+    EXPECT_EQ(view.window.requests, 0u);
+    EXPECT_DOUBLE_EQ(view.qps, 0.0);
+    EXPECT_EQ(view.sinceStart.requests, 4u);
+}
+
+TEST(RequestLedger, QpsCountsOnlyTheTimeTheLedgerHasExisted)
+{
+    // 2,000 requests a second for the first 10 s of a 60 s window.
+    serve::RequestLedger ledger(60, kT0);
+    for (uint64_t i = 0; i < 20000; ++i)
+        ledger.record(Outcome::Cache, 0.2, kT0 + i * 500);
+    EXPECT_DOUBLE_EQ(ledger.view(kT0 + 10 * kSecond).qps, 2000.0);
+
+    // Once the ledger is older than the window, the span is the counted
+    // slots: 59 whole ones (the 100 s slot has dropped out) plus the
+    // current one, which has just begun.
+    serve::RequestLedger old(60, kT0);
+    for (uint64_t i = 0; i < 60000; ++i)
+        old.record(Outcome::Cache, 0.2, kT0 + 100 * kSecond + i * 1000);
+    serve::RequestLedger::View view = old.view(kT0 + 160 * kSecond);
+    EXPECT_EQ(view.window.requests, 59000u);
+    EXPECT_DOUBLE_EQ(view.qps, 1000.0);
+}
+
+TEST(RequestLedger, ConcurrentRecordAndView)
+{
+    // Connection and worker threads record while stats/metrics read.
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 10000;
+    serve::RequestLedger ledger(60, obs::monotonicMicros());
+    std::atomic<bool> done{false};
+    uint64_t last_seen = 0;
+    std::thread reader([&] {
+        while (!done.load()) {
+            const uint64_t seen =
+                ledger.view(obs::monotonicMicros()).sinceStart.requests;
+            EXPECT_GE(seen, last_seen);
+            last_seen = seen;
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+        writers.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i)
+                ledger.record(i % 2 == 0 ? Outcome::Cache : Outcome::Simulated,
+                              0.1 * (t + 1), obs::monotonicMicros());
+        });
+    for (std::thread &writer : writers)
+        writer.join();
+    done.store(true);
+    reader.join();
+
+    serve::RequestLedger::View view = ledger.view(obs::monotonicMicros());
+    EXPECT_EQ(view.sinceStart.requests, uint64_t{kThreads * kPerThread});
+    EXPECT_EQ(view.window.requests, uint64_t{kThreads * kPerThread});
+    EXPECT_EQ(view.window.of(Outcome::Cache),
+              uint64_t{kThreads * kPerThread / 2});
 }
 
 TEST(MetricsWindow, PrometheusExpositionRendersTheWholeRegistry)
@@ -237,10 +401,10 @@ TEST(MetricsWindow, PrometheusExpositionRendersTheWholeRegistry)
     uint64_t hits = 42;
     registry.counter("serve.cache.hits", &hits);
     registry.gauge("serve.window.qps", [] { return 1.5; });
-    Histogram wall(16);
-    wall.record(3);
-    wall.record(5);
-    registry.histogram("serve.request_wall_ms", &wall);
+    // The daemon's latency pair: an exact count and sum (ms).
+    uint64_t wall_count = 2;
+    registry.counter("serve.request_wall_ms.count", &wall_count);
+    registry.gauge("serve.request_wall_ms.sum", [] { return 8.25; });
 
     std::string page = serve::prometheusText(
         registry.dump(), {{"tool", "eipd"}, {"git_describe", "test"}});
@@ -251,7 +415,7 @@ TEST(MetricsWindow, PrometheusExpositionRendersTheWholeRegistry)
               std::string::npos);
     EXPECT_NE(page.find("eip_serve_request_wall_ms_count 2"),
               std::string::npos);
-    EXPECT_NE(page.find("eip_serve_request_wall_ms_sum"),
+    EXPECT_NE(page.find("eip_serve_request_wall_ms_sum 8.25"),
               std::string::npos);
     EXPECT_NE(page.find("eip_build_info{"), std::string::npos);
     EXPECT_NE(page.find("tool=\"eipd\""), std::string::npos);
@@ -438,7 +602,7 @@ TEST(ForkedWorker, PropagatesChildSpansWithoutChangingArtifactBytes)
     job.spec = serve::toRunSpec(tinyRequest());
 
     serve::WorkerOutcome with_spans =
-        serve::runForkedJob(job, false, true);
+        serve::runForkedJob(job, false);
     ASSERT_TRUE(with_spans.ok) << with_spans.error;
     ASSERT_FALSE(with_spans.childSpans.empty());
 
@@ -466,7 +630,7 @@ TEST(ForkedWorker, CrashWithSpanCollectionStillFailsStructured)
     job.workload = trace::tinyWorkload();
     job.spec = serve::toRunSpec(tinyRequest());
 
-    serve::WorkerOutcome outcome = serve::runForkedJob(job, true, true);
+    serve::WorkerOutcome outcome = serve::runForkedJob(job, true);
     EXPECT_FALSE(outcome.ok);
     EXPECT_TRUE(outcome.crashed);
     EXPECT_NE(outcome.error.find("signal"), std::string::npos);
@@ -575,32 +739,10 @@ TEST(ServeDaemon, SpanTerminalsReconcileExactlyAgainstLiveCounters)
     // Daemon-side percentile gauges ride the shared estimator.
     obs::CounterDump dump = daemon.statsDump();
     EXPECT_GT(dump.gauge("serve.request_wall_ms.p95").value(), 0.0);
+    EXPECT_EQ(dump.counter("serve.request_wall_ms.count").value(),
+              2u + accepted.size() + 1u);
     EXPECT_EQ(dump.counter("serve.spans.recorded").value(),
               serve_trace->recorded);
-
-    daemon.stop();
-}
-
-TEST(ServeDaemon, SpansOpReportsDisabledWhenSpanLimitIsZero)
-{
-    serve::DaemonOptions options;
-    options.socketPath = testSocket("nospans");
-    options.spanLimit = 0;
-    serve::Daemon daemon(options);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-
-    serve::Client client;
-    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
-    std::string trace_doc;
-    EXPECT_FALSE(client.spans(trace_doc, &error));
-    EXPECT_NE(error.find("disabled"), std::string::npos);
-
-    // Everything else still serves: spans are strictly opt-out-able.
-    std::string stats_doc;
-    ASSERT_TRUE(client.stats(stats_doc, &error)) << error;
-    std::string metrics_doc, exposition;
-    ASSERT_TRUE(client.metrics(metrics_doc, exposition, &error)) << error;
 
     daemon.stop();
 }

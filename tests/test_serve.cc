@@ -66,7 +66,6 @@ TEST(BoundedQueue, FifoWithRejectionWhenFull)
     EXPECT_FALSE(queue.tryPush(3)); // full: explicit backpressure
     EXPECT_EQ(queue.depth(), 2u);
     EXPECT_EQ(queue.highWater(), 2u);
-    EXPECT_EQ(queue.rejected(), 1u);
 
     EXPECT_EQ(queue.pop().value(), 1);
     EXPECT_EQ(queue.pop().value(), 2);
@@ -413,8 +412,11 @@ TEST(ServeDaemon, StatsDocumentIsServeSchema)
     EXPECT_NE(doc->find("counters")->find("serve.cache.hits"), nullptr);
     EXPECT_NE(doc->find("counters")->find("serve.program_cache.hits"),
               nullptr);
-    ASSERT_NE(doc->find("histograms"), nullptr);
-    EXPECT_NE(doc->find("histograms")->find("serve.request_wall_ms"),
+    // Request latency: an exact count and sum (ms) from the ledger.
+    EXPECT_NE(doc->find("counters")->find("serve.request_wall_ms.count"),
+              nullptr);
+    ASSERT_NE(doc->find("gauges"), nullptr);
+    EXPECT_NE(doc->find("gauges")->find("serve.request_wall_ms.sum"),
               nullptr);
 
     daemon.stop();
