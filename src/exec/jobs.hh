@@ -3,8 +3,7 @@
  * Parallelism degree of the experiment engine. One knob, resolved in
  * priority order: an explicit request (e.g. the eipsim --jobs flag), the
  * EIP_JOBS environment variable, then std::thread::hardware_concurrency().
- * A value of 1 selects the legacy serial path (no pool, no futures);
- * 0 means "auto".
+ * A value of 1 runs every job on the calling thread; 0 means "auto".
  */
 
 #ifndef EIP_EXEC_JOBS_HH

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "exec/jobs.hh"
-#include "exec/program_cache.hh"
 #include "exec/run_batch.hh"
 #include "obs/json.hh"
 #include "obs/phase.hh"
@@ -177,27 +176,13 @@ runJobArtifact(const RunJob &job, bool use_program_cache,
     collected.spec.profiler = profiler;
 
     ArtifactRun out;
-    if (collected.workload.kind != trace::WorkloadKind::Synthetic) {
-        // Trace-backed workloads have no program to build or cache.
+    if (use_program_cache ||
+        collected.workload.kind != trace::WorkloadKind::Synthetic) {
         out.result = runOne(collected.workload, collected.spec);
-    } else if (use_program_cache) {
-        std::shared_ptr<const trace::Program> program;
-        {
-            std::unique_ptr<obs::PhaseProfiler::Scope> scope;
-            if (profiler != nullptr)
-                scope = std::make_unique<obs::PhaseProfiler::Scope>(
-                    *profiler, "program_build");
-            program = exec::ProgramCache::global().get(
-                collected.workload.program);
-        }
-        out.result = runOne(collected.workload, collected.spec, *program);
     } else {
         std::unique_ptr<trace::Program> program;
         {
-            std::unique_ptr<obs::PhaseProfiler::Scope> scope;
-            if (profiler != nullptr)
-                scope = std::make_unique<obs::PhaseProfiler::Scope>(
-                    *profiler, "program_build");
+            obs::PhaseProfiler::Scope scope(profiler, "program_build");
             program = std::make_unique<trace::Program>(
                 trace::buildProgram(collected.workload.program));
         }

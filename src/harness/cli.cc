@@ -352,13 +352,8 @@ runCli(const CliOptions &opt)
         return 2;
     }
     if (opt.workload == "all") {
-        // Batch mode: the whole catalogue under one config, fanned out
-        // across the exec thread pool.
-        if (opt.wrongPath) {
-            std::fprintf(stderr, "error: --wrong-path is not supported "
-                                 "with --workload all\n");
-            return 2;
-        }
+        // Batch mode: the whole catalogue under one config, run through
+        // the exec batch loop on --jobs threads.
         if (!opt.traceOutPath.empty()) {
             std::fprintf(stderr, "error: --trace-out is not supported "
                                  "with --workload all (tracing is a "

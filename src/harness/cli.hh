@@ -44,7 +44,7 @@ struct CliOptions
     uint64_t warmup = 300000;
     /** Worker threads for batch runs (--workload all). 0 = auto: the
      *  EIP_JOBS environment variable, else hardware_concurrency();
-     *  1 = legacy serial path. */
+     *  1 = every job on the calling thread. */
     unsigned jobs = 0;
     bool physical = false;
     bool wrongPath = false;

@@ -138,10 +138,7 @@ runOne(const trace::Workload &workload, const RunSpec &spec)
         return runImpl(workload, spec, nullptr);
     std::shared_ptr<const trace::Program> program;
     {
-        std::unique_ptr<obs::PhaseProfiler::Scope> scope;
-        if (spec.profiler != nullptr)
-            scope = std::make_unique<obs::PhaseProfiler::Scope>(
-                *spec.profiler, "program_build");
+        obs::PhaseProfiler::Scope scope(spec.profiler, "program_build");
         program = exec::ProgramCache::global().get(workload.program);
     }
     return runImpl(workload, spec, program.get());
@@ -177,10 +174,7 @@ runImpl(const trace::Workload &workload, const RunSpec &spec,
     std::unique_ptr<sim::Prefetcher> prefetcher;
     std::unique_ptr<sim::Prefetcher> data_prefetcher;
     {
-        std::unique_ptr<obs::PhaseProfiler::Scope> scope;
-        if (spec.profiler != nullptr)
-            scope = std::make_unique<obs::PhaseProfiler::Scope>(
-                *spec.profiler, "prefetcher");
+        obs::PhaseProfiler::Scope scope(spec.profiler, "prefetcher");
         prefetcher = prefetch::makePrefetcher(pf_id);
         data_prefetcher = prefetch::makePrefetcher(spec.dataPrefetcher);
     }
@@ -277,25 +271,14 @@ runImpl(const trace::Workload &workload, const RunSpec &spec,
 std::vector<RunResult>
 runBatch(const std::vector<RunJob> &batch, unsigned jobs)
 {
-    exec::ProgramCache &cache = exec::ProgramCache::global();
-    return exec::runBatch(
-        batch, exec::resolveJobs(jobs), [&cache](const RunJob &job) {
-            // The shared program is immutable; all run state (Cpu,
-            // Executor/replayer, RNG) is constructed inside runOne, so
-            // each job is a pure function of its (workload, spec) pair
-            // and the batch result is independent of scheduling.
-            if (job.workload.kind != trace::WorkloadKind::Synthetic)
-                return runOne(job.workload, job.spec);
-            std::shared_ptr<const trace::Program> program =
-                cache.get(job.workload.program);
-            return runOne(job.workload, job.spec, *program);
-        });
-}
-
-std::vector<RunResult>
-runSuite(const std::vector<trace::Workload> &suite, const RunSpec &spec)
-{
-    return runSuite(suite, spec, 0);
+    // All run state (Cpu, Executor/replayer, RNG) is constructed inside
+    // runOne and the shared program is immutable, so each job is a pure
+    // function of its (workload, spec) pair and the batch result is
+    // independent of scheduling.
+    return exec::runBatch(batch, exec::resolveJobs(jobs),
+                          [](const RunJob &job) {
+                              return runOne(job.workload, job.spec);
+                          });
 }
 
 std::vector<RunResult>

@@ -5,11 +5,11 @@
  * statistics. All benches and the examples go through this entry point.
  *
  * Batch entry points (runSuite, runBatch) execute through the src/exec
- * engine: jobs fan out across a thread pool (EIP_JOBS / --jobs wide,
- * default hardware_concurrency, 1 = legacy serial loop) and synthetic
- * programs are shared through exec::ProgramCache. Every job constructs
- * its own Cpu/Executor/RNG, so results are bit-identical to the serial
- * path for any job count.
+ * engine: jobs are taken in index order by EIP_JOBS / --jobs threads
+ * (default hardware_concurrency, 1 = the calling thread alone) and
+ * synthetic programs are shared through exec::ProgramCache. Every job
+ * constructs its own Cpu/Executor/RNG, so results are bit-identical for
+ * any job count.
  */
 
 #ifndef EIP_HARNESS_RUNNER_HH
@@ -224,14 +224,10 @@ struct RunJob
 std::vector<RunResult> runBatch(const std::vector<RunJob> &batch,
                                 unsigned jobs = 0);
 
-/** Run a whole suite under one config; one result per workload. Fans out
- *  through runBatch with the default job count. */
+/** Run a whole suite under one config; one result per workload, through
+ *  runBatch on @p jobs threads (0 = EIP_JOBS / hardware default). */
 std::vector<RunResult> runSuite(const std::vector<trace::Workload> &suite,
-                                const RunSpec &spec);
-
-/** As above with an explicit worker count (1 = legacy serial path). */
-std::vector<RunResult> runSuite(const std::vector<trace::Workload> &suite,
-                                const RunSpec &spec, unsigned jobs);
+                                const RunSpec &spec, unsigned jobs = 0);
 
 /** Geometric mean of IPC normalized against a baseline result set (the
  *  baseline must cover the same workloads in the same order). */

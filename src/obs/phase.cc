@@ -1,7 +1,5 @@
 #include "obs/phase.hh"
 
-#include "obs/span.hh"
-
 namespace eip::obs {
 
 void
@@ -9,7 +7,8 @@ PhaseProfiler::transition(const std::string &name)
 {
     const uint64_t now = monotonicMicros();
     if (!current_.empty())
-        intervals_.push_back({current_, currentStartUs_, now});
+        intervals_.push_back(
+            {0, current_, currentStartUs_, now - currentStartUs_, {}});
     current_ = name;
     currentStartUs_ = now;
 }
@@ -18,9 +17,8 @@ std::vector<std::pair<std::string, double>>
 PhaseProfiler::totalsMs() const
 {
     std::vector<std::pair<std::string, double>> totals;
-    for (const PhaseInterval &iv : intervals_) {
-        const double ms =
-            static_cast<double>(iv.endUs - iv.startUs) / 1000.0;
+    for (const SpanRecord &iv : intervals_) {
+        const double ms = static_cast<double>(iv.durUs) / 1000.0;
         bool found = false;
         for (auto &[name, total] : totals) {
             if (name == iv.name) {

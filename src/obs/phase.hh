@@ -24,15 +24,9 @@
 #include <utility>
 #include <vector>
 
-namespace eip::obs {
+#include "obs/span.hh"
 
-/** One closed phase occurrence (absolute monotonic microseconds). */
-struct PhaseInterval
-{
-    std::string name;
-    uint64_t startUs = 0;
-    uint64_t endUs = 0;
-};
+namespace eip::obs {
 
 /**
  * Accumulates named wall-time phases. Not thread-safe — one profiler
@@ -50,26 +44,35 @@ class PhaseProfiler
     void close() { transition(std::string()); }
 
     /** RAII helper: transitions to a phase, then restores whatever
-     *  phase was open when the scope began. */
+     *  phase was open when the scope began. A null profiler makes the
+     *  scope a no-op, so callers need not test for one. */
     class Scope
     {
       public:
-        Scope(PhaseProfiler &profiler, const std::string &name)
-            : profiler_(profiler), previous_(profiler.current_)
+        Scope(PhaseProfiler *profiler, const std::string &name)
+            : profiler_(profiler)
         {
-            profiler_.transition(name);
+            if (profiler_ != nullptr) {
+                previous_ = profiler_->current_;
+                profiler_->transition(name);
+            }
         }
-        ~Scope() { profiler_.transition(previous_); }
+        ~Scope()
+        {
+            if (profiler_ != nullptr)
+                profiler_->transition(previous_);
+        }
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
 
       private:
-        PhaseProfiler &profiler_;
+        PhaseProfiler *profiler_;
         std::string previous_;
     };
 
-    /** Every closed occurrence, in time order. */
-    const std::vector<PhaseInterval> &intervals() const { return intervals_; }
+    /** Every closed occurrence, in time order, as spans with no trace
+     *  id or state (absolute monotonic microseconds). */
+    const std::vector<SpanRecord> &intervals() const { return intervals_; }
 
     /** Per-phase accumulated wall milliseconds, first-seen order. */
     std::vector<std::pair<std::string, double>> totalsMs() const;
@@ -77,7 +80,7 @@ class PhaseProfiler
   private:
     std::string current_;
     uint64_t currentStartUs_ = 0;
-    std::vector<PhaseInterval> intervals_;
+    std::vector<SpanRecord> intervals_;
 };
 
 } // namespace eip::obs

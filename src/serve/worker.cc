@@ -51,15 +51,7 @@ childMain(int write_fd, const harness::RunJob &job, bool inject_crash)
     harness::ArtifactRun run = harness::runJobArtifact(
         job, /*use_program_cache=*/false, &profiler);
     writeAll(write_fd, run.json);
-    std::vector<obs::SpanRecord> spans;
-    for (const obs::PhaseInterval &iv : profiler.intervals()) {
-        obs::SpanRecord span;
-        span.name = iv.name;
-        span.startUs = iv.startUs;
-        span.durUs = iv.endUs - iv.startUs;
-        spans.push_back(std::move(span));
-    }
-    writeAll(write_fd, obs::spanPreambleJson(spans));
+    writeAll(write_fd, obs::spanPreambleJson(profiler.intervals()));
     ::close(write_fd);
     ::_exit(0);
 }

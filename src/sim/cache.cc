@@ -842,10 +842,4 @@ Prefetcher::blame(Addr line, Addr pc)
     return obs::MissBlame::None;
 }
 
-obs::MissAttribution *
-Prefetcher::why() const
-{
-    return owner != nullptr ? owner->why() : nullptr;
-}
-
 } // namespace eip::sim

@@ -177,7 +177,6 @@ class Cache
      *  see src/obs/why.hh). Same contract as the tracer: every hook
      *  site is one pointer test when off. */
     void setWhy(obs::MissAttribution *why) { why_ = why; }
-    obs::MissAttribution *why() const { return why_; }
 
     /** Number of free MSHR entries (for tests). */
     uint32_t freeMshrs() const;

@@ -18,7 +18,6 @@
 namespace eip::obs {
 class CounterRegistry;
 class EventTracer;
-class MissAttribution;
 enum class MissBlame : uint8_t;
 }
 
@@ -165,15 +164,6 @@ class Prefetcher
      * simulation behavior on it. Defined in cache.cc (needs Cache).
      */
     obs::EventTracer *tracer() const;
-
-    /**
-     * Miss-attribution observer of the owning cache; nullptr when
-     * blame is off or the prefetcher is unattached. Prefetchers use it
-     * to record shadow events the cache never sees (e.g. cross-page
-     * candidates discarded before Cache::enqueuePrefetch). Pure
-     * observer, same contract as tracer(). Defined in cache.cc.
-     */
-    obs::MissAttribution *why() const;
 
     Cache *owner = nullptr;
 };

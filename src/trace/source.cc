@@ -23,12 +23,6 @@ class SyntheticSource : public TraceSource
         return std::make_unique<Executor>(program, config);
     }
 
-    std::string
-    describe() const override
-    {
-        return "synthetic";
-    }
-
   private:
     const Program &program;
     ExecutorConfig config;
@@ -45,12 +39,6 @@ class ReplaySource : public TraceSource
         return std::make_unique<TraceReplayer>(path);
     }
 
-    std::string
-    describe() const override
-    {
-        return "eip-trace " + path;
-    }
-
   private:
     std::string path;
 };
@@ -64,12 +52,6 @@ class ChampSimSource : public TraceSource
     open() override
     {
         return std::make_unique<ChampSimReplayer>(path);
-    }
-
-    std::string
-    describe() const override
-    {
-        return "champsim " + path;
     }
 
   private:

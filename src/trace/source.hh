@@ -29,9 +29,6 @@ class TraceSource
 
     /** A fresh stream positioned at the start of the workload. */
     virtual std::unique_ptr<InstructionSource> open() = 0;
-
-    /** One-line human description ("synthetic", "champsim <path>", ...). */
-    virtual std::string describe() const = 0;
 };
 
 /**

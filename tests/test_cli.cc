@@ -270,11 +270,35 @@ TEST(Cli, RunCliBatchModeRunsWholeCatalogue)
                             "--instructions", "20000", "--warmup", "5000",
                             "--jobs", "4", "--json"})),
               0);
-    // Wrong-path modelling is a single-run feature.
-    EXPECT_EQ(runCli(parse({"--workload", "all", "--wrong-path",
-                            "--instructions", "1000"})),
-              2);
-    // So is event tracing.
+    // Wrong-path modelling is part of the canonical spec, so a batch runs
+    // it like any other cell: the suite roll-up is the same bytes at one
+    // and at four jobs.
+    auto rollUp = [](const char *jobs) {
+        std::string path = ::testing::TempDir() + "cli_wrong_path_" +
+                           jobs + ".json";
+        EXPECT_EQ(runCli(parse({"--workload", "all", "--wrong-path",
+                                "--instructions", "3000", "--warmup",
+                                "1000", "--jobs", jobs, "--stats-json",
+                                path.c_str(), "--json"})),
+                  0);
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        std::remove(path.c_str());
+        for (size_t i = 0;; ++i) {
+            char suffix[32];
+            std::snprintf(suffix, sizeof suffix, ".r%03zu.json", i);
+            if (std::remove((path + suffix).c_str()) != 0)
+                break;
+        }
+        return buf.str();
+    };
+    std::string serial = rollUp("1");
+    EXPECT_NE(serial.find("\"schema\":\"eip-suite/v1\""),
+              std::string::npos);
+    EXPECT_EQ(serial, rollUp("4"));
+    // Event tracing is a single-run facility: one tracer cannot serve
+    // many threads.
     EXPECT_EQ(runCli(parse({"--workload", "all", "--trace-out",
                             "/tmp/batch.json", "--instructions", "1000"})),
               2);

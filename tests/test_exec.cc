@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel experiment-execution subsystem: thread-pool
- * lifecycle and exception capture, ordered deterministic batching, the
- * shared program cache, the EIP_JOBS knob, and the bit-identical
- * serial-vs-parallel guarantee of runSuite.
+ * Tests for the parallel experiment-execution subsystem: the batch
+ * loop's threads, ordering and exception capture, the shared program
+ * cache, the EIP_JOBS knob, and the bit-identical serial-vs-parallel
+ * guarantee of runSuite.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -18,7 +20,6 @@
 #include "exec/program_cache.hh"
 #include "obs/registry.hh"
 #include "exec/run_batch.hh"
-#include "exec/thread_pool.hh"
 #include "harness/runner.hh"
 #include "trace/workloads.hh"
 
@@ -26,59 +27,6 @@ namespace eip {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsSubmittedTasks)
-{
-    exec::ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    auto fut = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, ShutdownCompletesAllPendingWork)
-{
-    std::atomic<int> done{0};
-    std::vector<std::future<void>> futures;
-    {
-        exec::ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i) {
-            futures.push_back(pool.submit([&done]() {
-                std::this_thread::sleep_for(1ms);
-                done.fetch_add(1);
-            }));
-        }
-        pool.shutdown(); // must drain the 30 tasks still queued
-        EXPECT_EQ(done.load(), 32);
-        pool.shutdown(); // idempotent
-    } // destructor after explicit shutdown is a no-op
-    for (auto &f : futures)
-        EXPECT_NO_THROW(f.get());
-    EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    std::atomic<int> done{0};
-    {
-        exec::ThreadPool pool(1);
-        for (int i = 0; i < 16; ++i)
-            pool.submit([&done]() { done.fetch_add(1); });
-    }
-    EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ThreadPool, ExceptionIsCapturedPerTask)
-{
-    exec::ThreadPool pool(2);
-    auto bad = pool.submit([]() -> int {
-        throw std::runtime_error("task exploded");
-    });
-    auto good = pool.submit([]() { return 7; });
-    EXPECT_EQ(good.get(), 7); // a throwing task never poisons its neighbours
-    EXPECT_THROW(bad.get(), std::runtime_error);
-}
 
 // ------------------------------------------------------------------ runBatch
 
@@ -109,16 +57,62 @@ TEST(RunBatch, EmptyBatchIsFine)
     EXPECT_TRUE(out.empty());
 }
 
-TEST(RunBatch, PropagatesJobException)
+TEST(RunBatch, OneWorkerRunsEveryJobOnTheCallingThread)
+{
+    std::vector<int> jobs{0, 1, 2, 3, 4, 5};
+    const std::thread::id caller = std::this_thread::get_id();
+    auto threads = exec::runBatch(
+        jobs, 1, [](const int &) { return std::this_thread::get_id(); });
+    ASSERT_EQ(threads.size(), jobs.size());
+    for (const std::thread::id &id : threads)
+        EXPECT_EQ(id, caller);
+}
+
+TEST(RunBatch, NeverRunsMoreJobsAtOnceThanWorkers)
+{
+    std::vector<int> jobs(32);
+    for (unsigned workers : {1u, 2u, 4u}) {
+        std::atomic<int> running{0};
+        std::atomic<int> peak{0};
+        std::mutex mutex;
+        std::set<std::thread::id> threads;
+        exec::runBatch(jobs, workers, [&](const int &) {
+            int now = ++running;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                threads.insert(std::this_thread::get_id());
+            }
+            std::this_thread::sleep_for(200us);
+            --running;
+            return 0;
+        });
+        EXPECT_LE(peak.load(), static_cast<int>(workers));
+        EXPECT_LE(threads.size(), workers);
+    }
+}
+
+TEST(RunBatch, RethrowsTheLowestIndexedFailureAfterEveryJobRan)
 {
     std::vector<int> jobs{0, 1, 2, 3, 4, 5, 6, 7};
-    auto fn = [](const int &i) -> int {
-        if (i == 3)
-            throw std::runtime_error("job 3 failed");
-        return i;
-    };
-    EXPECT_THROW(exec::runBatch(jobs, 4, fn), std::runtime_error);
-    EXPECT_THROW(exec::runBatch(jobs, 1, fn), std::runtime_error);
+    for (unsigned workers : {1u, 4u}) {
+        std::atomic<int> ran{0};
+        auto fn = [&ran](const int &i) -> int {
+            ++ran;
+            if (i == 2 || i == 5)
+                throw std::runtime_error("job " + std::to_string(i));
+            return i;
+        };
+        try {
+            exec::runBatch(jobs, workers, fn);
+            ADD_FAILURE() << "no exception at " << workers << " workers";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "job 2") << workers << " workers";
+        }
+        EXPECT_EQ(ran.load(), 8) << workers << " workers";
+    }
 }
 
 // -------------------------------------------------------------- ProgramCache
@@ -128,18 +122,11 @@ TEST(ProgramCache, BuildsOncePerConfigUnderConcurrentAccess)
     exec::ProgramCache cache;
     trace::Workload w = trace::tinyWorkload();
 
-    std::vector<std::shared_ptr<const trace::Program>> seen(16);
-    {
-        exec::ThreadPool pool(8);
-        std::vector<std::future<void>> futures;
-        for (size_t i = 0; i < seen.size(); ++i) {
-            futures.push_back(pool.submit([&cache, &w, &seen, i]() {
-                seen[i] = cache.get(w.program);
-            }));
-        }
-        for (auto &f : futures)
-            f.get();
-    }
+    std::vector<int> jobs(16);
+    std::vector<std::shared_ptr<const trace::Program>> seen =
+        exec::runBatch(jobs, 8, [&cache, &w](const int &) {
+            return cache.get(w.program);
+        });
     EXPECT_EQ(cache.builds(), 1u);
     EXPECT_EQ(cache.hits(), seen.size() - 1);
     for (const auto &p : seen) {

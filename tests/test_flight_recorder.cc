@@ -156,8 +156,12 @@ TEST(PhaseProfiler, TotalsAccumulateInFirstSeenOrder)
     profiler.transition("fill_drain");
     profiler.close();
     ASSERT_EQ(profiler.intervals().size(), 4u);
-    for (const obs::PhaseInterval &interval : profiler.intervals())
-        EXPECT_GE(interval.endUs, interval.startUs);
+    // Intervals are spans in time order: each ends where the next starts.
+    for (size_t i = 1; i < profiler.intervals().size(); ++i) {
+        const obs::SpanRecord &prev = profiler.intervals()[i - 1];
+        EXPECT_EQ(prev.startUs + prev.durUs,
+                  profiler.intervals()[i].startUs);
+    }
 
     auto totals = profiler.totalsMs();
     ASSERT_EQ(totals.size(), 3u);
@@ -175,7 +179,10 @@ TEST(PhaseProfiler, ScopeRestoresTheEnclosingPhase)
     obs::PhaseProfiler profiler;
     profiler.transition("measure");
     {
-        obs::PhaseProfiler::Scope scope(profiler, "program_build");
+        obs::PhaseProfiler::Scope scope(&profiler, "program_build");
+    }
+    {
+        obs::PhaseProfiler::Scope scope(nullptr, "ignored"); // no-op
     }
     profiler.close();
     ASSERT_EQ(profiler.intervals().size(), 3u);
